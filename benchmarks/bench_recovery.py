@@ -12,8 +12,8 @@ the serving path:
 
 * **MTTR** — SIGKILL one shard of a supervised pool and measure
   kill-to-first-ok-answer on a tree routed to that shard: liveness
-  detection + budgeted respawn + full segment resync + the feeder's
-  wait-out-the-restart path, end to end.
+  detection + budgeted respawn + fault re-arm + the replacement's first
+  store load + the feeder's wait-out-the-restart path, end to end.
 
 * **recovery replay** — :func:`repro.trees.wal.recover` folding a
   300-edit log (snapshot cadence 64) back into a verified registry.

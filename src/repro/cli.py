@@ -34,8 +34,8 @@ Commands:
   replayed from DIR before ``--tree`` registrations apply.  With
   ``--shards``, ``--max-restarts N`` arms the self-healing supervisor:
   crashed shard processes are respawned (at most N times per shard per
-  rolling window) with full state resync, and their in-flight requests are
-  re-dispatched instead of failing.  ``--store DIR`` attaches the
+  rolling window) with their fault arms re-delivered, and their in-flight
+  requests are re-dispatched instead of failing.  ``--store DIR`` attaches the
   disk-backed index store: registered trees are packed to compact RSTR
   files, cold trees mmap back in on first touch, and ``--resident-budget
   BYTES`` bounds the resident set with LRU eviction so a corpus much
@@ -549,11 +549,10 @@ def _add_budget_arguments(p: argparse.ArgumentParser, engine: bool = True) -> No
         p.add_argument(
             "--inject-fault",
             action="append",
+            choices=faults.SITES,
             metavar="SITE",
             help="arm a named fault-injection site (repeatable; for testing). "
-            "Sites: xpath.bitset, xpath.bitset.star, logic.bitset, "
-            "logic.bitset.tc, automata.bitset, service.worker, trees.mutate, "
-            "service.reshare, wal.append, service.shard_kill, store.load",
+            "Sites: " + ", ".join(faults.SITES),
         )
 
 
@@ -641,9 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run N shard processes over shared-memory tree indexes instead "
-        "of in-process threads (0, the default, keeps the thread pool); "
-        "--workers then means worker threads per shard",
+        help="run N shard processes that mmap tree indexes from the --store "
+        "DIR (or a scratch store under /dev/shm) instead of in-process "
+        "threads (0, the default, keeps the thread pool); --workers then "
+        "means worker threads per shard",
     )
     p.add_argument(
         "--start-method",
@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="with --shards, supervise the shard processes: respawn a "
-        "crashed shard up to N times per rolling window (with state resync "
+        "crashed shard up to N times per rolling window (with fault re-arm "
         "and in-flight re-dispatch) before degrading its requests to "
         "structured unavailability (exit code 10)",
     )

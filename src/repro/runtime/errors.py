@@ -18,7 +18,7 @@ classes that need different handling (retry, degrade, report).  The tree::
     ├── EngineFaultError                       an engine failed mid-run
     │   ├── InjectedFaultError                 ... because a fault was injected
     │   └── StaleEpochError                    shard served an outdated tree epoch
-    ├── TreeShareError                         corrupt shared-memory index segment
+    ├── TreeShareError                         index sections do not decode
     ├── StoreCorruptError                      corrupt on-disk store file (RSTR)
     ├── WalCorruptError                        write-ahead log / snapshot corruption
     └── ServiceError                           the serving layer itself
@@ -151,12 +151,13 @@ class InjectedFaultError(EngineFaultError):
 class StaleEpochError(EngineFaultError):
     """A read was executed against an outdated epoch of a live tree.
 
-    Raised by the sharded service when a shard's attached copy of a named
-    tree is older than the epoch the request was stamped with at dispatch
-    time — i.e. a mutation was published but its re-share has not reached
-    the shard yet.  Subclasses :class:`EngineFaultError` because the
-    condition is transient and retryable: the parent heals the lagging
-    shard by re-broadcasting the current segment and re-dispatching.
+    Raised when a read carries a positive ``min_epoch`` floor (a client's,
+    or the sharded tier's dispatch-time stamp) and, even after refreshing
+    its copy from the store, the serving registry holds nothing that new —
+    the floor runs ahead of every published generation, e.g. a read that
+    races the mutation creating its epoch.  Subclasses
+    :class:`EngineFaultError` because the condition is transient and
+    retryable: once the epoch is published, the same read succeeds.
     """
 
     def __init__(self, tree: str, local_epoch: int, min_epoch: int):
@@ -170,13 +171,15 @@ class StaleEpochError(EngineFaultError):
 
 
 class TreeShareError(ReproError):
-    """A shared-memory :class:`~repro.trees.index.TreeIndex` segment failed
-    validation.
+    """Serialized :class:`~repro.trees.index.TreeIndex` sections failed to
+    decode.
 
-    Raised when attaching a segment whose magic, version, declared size,
-    checksum, or section bounds do not hold — a truncated or corrupted
-    segment must fail loudly here instead of reconstructing wrong masks
-    and silently returning wrong query answers.
+    Raised by the section codec (:mod:`repro.trees.share`) when a section
+    is missing, has the wrong length, or does not encode a valid tree, and
+    by a lazy mask read after its backing file was unmapped.  The store
+    wraps decode failures in :class:`StoreCorruptError`; either way a
+    damaged index fails loudly instead of reconstructing wrong masks and
+    silently returning wrong query answers.
     """
 
 

@@ -7,29 +7,9 @@ an armed site makes the engine that checks it raise
 :class:`~repro.runtime.errors.InjectedFaultError` at a well-defined kernel
 boundary, which exercises the exact code path a real engine bug would take.
 
-Fault sites currently wired into the engines:
+Fault sites currently wired into the code (rendered from :data:`SITES`):
 
-=========================  ====================================================
-``xpath.bitset``           entry of every public ``BitsetEvaluator`` method
-``xpath.bitset.star``      inside the batched Kleene-star frontier sweep
-``logic.bitset``           entry of every public ``BitsetModelChecker`` method
-``logic.bitset.tc``        inside the semi-naive ``[TC]`` sweep
-``automata.bitset``        entry of the bit-parallel configuration sweep
-``service.worker``         start of each fast-path attempt in a service worker
-``trees.mutate``           inside :meth:`TreeRegistry.mutate`, before the edit
-                           is applied (the pre-publish atomicity boundary)
-``service.reshare``        per shard, while re-broadcasting a mutated tree's
-                           shared-memory segment (leaves that shard stale)
-``wal.append``             inside :meth:`WriteAheadLog._append`, before the
-                           record reaches the log (the mutation aborts with
-                           both the log and the registry untouched)
-``service.shard_kill``     checked by the shard supervisor once per poll
-                           tick; each fire SIGKILLs one live shard process
-                           (chaos testing the crash/respawn/re-dispatch path)
-``store.load``             entry of :meth:`TreeStore.load`, before the file
-                           is opened (a cold-load failure: the tree stays
-                           unresident and the next touch retries)
-=========================  ====================================================
+{sites}
 
 Arming is explicit and three-way togglable:
 
@@ -62,6 +42,7 @@ from .errors import InjectedFaultError
 
 __all__ = [
     "FAULTS_ENV_VAR",
+    "SITES",
     "arm",
     "disarm",
     "armed_sites",
@@ -72,6 +53,42 @@ __all__ = [
 ]
 
 FAULTS_ENV_VAR = "REPRO_FAULTS"
+
+#: Where each wired site fires, in documentation order.
+_WHERE = {
+    "xpath.bitset": "entry of every public ``BitsetEvaluator`` method",
+    "xpath.bitset.star": "inside the batched Kleene-star frontier sweep",
+    "logic.bitset": "entry of every public ``BitsetModelChecker`` method",
+    "logic.bitset.tc": "inside the semi-naive ``[TC]`` sweep",
+    "automata.bitset": "entry of the bit-parallel configuration sweep",
+    "service.worker": "start of each fast-path attempt in a service worker",
+    "trees.mutate": "inside :meth:`TreeRegistry.mutate`, before the edit is "
+    "applied (the pre-publish atomicity boundary)",
+    "wal.append": "inside :meth:`WriteAheadLog._append`, before the record "
+    "reaches the log (the mutation aborts with both the log and the "
+    "registry untouched)",
+    "service.shard_kill": "checked by the shard supervisor once per poll "
+    "tick; each fire SIGKILLs one live shard process",
+    "store.load": "entry of :meth:`TreeStore.load`, before the file is "
+    "opened (a cold load or a shard's refresh fails; the next touch retries)",
+}
+
+#: Every fault site the code checks.  Names arriving from outside the
+#: process (``REPRO_FAULTS``, ``--inject-fault``) must be one of these, so a
+#: chaos run naming a removed or misspelt site fails instead of arming
+#: nothing; the table in this module's docstring is rendered from it too.
+SITES = tuple(_WHERE)
+
+
+def _site_table() -> str:
+    width = max(len(site) for site in SITES) + 4
+    rule = "=" * width + "  " + "=" * 52
+    rows = [f"{'``' + site + '``':<{width}}  {_WHERE[site]}" for site in SITES]
+    return "\n".join([rule, *rows, rule])
+
+
+if __doc__:  # stripped under ``python -OO``
+    __doc__ = __doc__.replace("{sites}", _site_table())
 
 #: Armed sites: site -> remaining trigger count (None = every check fires).
 _armed: dict[str, int | None] = {}
@@ -171,18 +188,25 @@ def reload_from_env(value: str | None = None) -> None:
 
     Spec grammar: comma-separated ``site`` or ``site:count`` entries;
     whitespace around entries is ignored; an empty/unset variable disarms
-    nothing (call :func:`disarm` for that).
+    nothing (call :func:`disarm` for that).  A site not in :data:`SITES`
+    raises ``ValueError`` before anything is armed.
     """
     spec = os.environ.get(FAULTS_ENV_VAR, "") if value is None else value
+    arms = []
     for entry in spec.split(","):
         entry = entry.strip()
         if not entry:
             continue
         site, colon, count = entry.partition(":")
-        if colon:
-            arm(site.strip(), int(count))
-        else:
-            arm(site)
+        site = site.strip()
+        if site not in SITES:
+            raise ValueError(
+                f"unknown fault site {site!r} in {FAULTS_ENV_VAR}; "
+                f"expected one of {', '.join(SITES)}"
+            )
+        arms.append((site, int(count) if colon else None))
+    for site, times in arms:
+        arm(site, times)
 
 
 reload_from_env()

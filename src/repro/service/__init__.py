@@ -26,12 +26,12 @@ The pieces, each in its own module:
 * :class:`QueryService` (:mod:`~repro.service.workers`) — the worker
   pool tying it together;
 * :class:`ShardedQueryService` (:mod:`~repro.service.shards`) — the
-  multiprocess tier: shard processes over shared-memory tree indexes,
-  same API, true multi-core scaling (pass ``--shards`` to ``repro
-  batch``);
+  multiprocess tier: shard processes that mmap trees read-only from the
+  registry's store (a scratch one on tmpfs when it has none), same API,
+  true multi-core scaling (pass ``--shards`` to ``repro batch``);
 * :class:`ShardSupervisor` (:mod:`~repro.service.supervisor`) — parent-
   side self-healing for the shard pool: liveness/heartbeat detection,
-  budgeted exponential-backoff respawn with full state resync, stranded-
+  budgeted exponential-backoff respawn with fault re-arming, stranded-
   request re-dispatch, and terminal
   :class:`~repro.runtime.errors.ShardUnavailableError` degradation
   (enabled with ``max_restarts=N``; pair with a

@@ -243,14 +243,20 @@ class TreeRegistry:
     A disk-backed :class:`~repro.trees.store.TreeStore` (via
     :meth:`attach_store`) lifts the RAM cap: lookups fall back to the
     store on a miss (single-flight — concurrent cold touches share one
-    load), an optional resident-byte budget evicts least-recently-used
+    load), and an optional resident-byte budget evicts least-recently-used
     trees back to disk (pinned trees are exempt; eviction only drops the
-    registry's reference, so in-flight readers keep their snapshot), and
-    (re)registrations write through to the store so the stored generation
-    tracks the live epoch.  Evicting never loses the name's epoch: the
-    result-cache guard ``registry.epoch(pin.name) == pin.epoch`` holds
-    across an evict/reload cycle because the store file is packed at the
-    epoch it re-publishes with.
+    registry's reference, so in-flight readers keep their snapshot).
+
+    One ordering rule ties the store to the epochs: with a writable store
+    attached, every (re)registration and mutation **packs the new
+    generation before it publishes the epoch**, under the mutation lock.
+    The stored file is therefore never older than a published epoch — a
+    resident is always evictable, a reload never regresses, and a process
+    that only reads the store (a shard) can catch up with any epoch it has
+    been told about.  A failed pack aborts with the registry untouched.
+    Evicting never loses the name's epoch: the result-cache guard
+    ``registry.epoch(pin.name) == pin.epoch`` holds across an evict/reload
+    cycle because the store file carries the epoch it re-publishes with.
     """
 
     def __init__(self) -> None:
@@ -265,7 +271,6 @@ class TreeRegistry:
         # first), per-name pin counts, and in-flight single-flight loads.
         self._store = None
         self._store_readonly = False
-        self._store_lock = threading.Lock()  # serializes pack() writers
         self._resident_budget: int | None = None
         self._resident_bytes = 0
         self._lru: "OrderedDict[str, int]" = OrderedDict()
@@ -340,7 +345,8 @@ class TreeRegistry:
 
         ``readonly`` marks a registry that must never write store files —
         the shard processes attach this way, mmapping the parent's files
-        directly while the parent remains the single writer.
+        directly while the parent remains the single writer.  All packing
+        happens under the mutation lock, so writers never race on a file.
         """
         if resident_budget is not None and resident_budget <= 0:
             raise ValueError(
@@ -353,10 +359,9 @@ class TreeRegistry:
                     for name in sorted(self._trees)
                 ]
             if not readonly:
-                with self._store_lock:
-                    for name, tree, epoch in residents:
-                        if store.epoch(name) != epoch:
-                            store.pack(name, tree, epoch=epoch)
+                for name, tree, epoch in residents:
+                    if store.epoch(name) != epoch:
+                        store.pack(name, tree, epoch=epoch)
             costs = {
                 name: index_nbytes(tree_index(tree)) for name, tree, _ in residents
             }
@@ -370,6 +375,29 @@ class TreeRegistry:
                         self._resident_bytes += costs[name]
                 obs.gauge("registry_resident_bytes").set(self._resident_bytes)
         self._evict_over_budget()
+
+    def detach_store(self):
+        """Detach the store and return it (``None`` if none was attached).
+
+        Cold trees are loaded back first, so the registry keeps serving
+        every name at its epoch from memory alone; the store's files are
+        left as they are.  The sharded service uses this before removing
+        the scratch store it attached.
+        """
+        with self._mutation_lock:
+            store = self._store
+            if store is None:
+                return None
+            self._resident_budget = None  # reloading must not evict
+            for name in store.names():
+                self._lookup(name)
+            with self._lock:
+                self._store = None
+                self._store_readonly = False
+                self._lru.clear()
+                self._resident_bytes = 0
+                obs.gauge("registry_resident_bytes").set(0)
+        return store
 
     def _next_epoch(self, name: str) -> int:
         """The epoch a fresh registration of ``name`` should publish at.
@@ -421,7 +449,7 @@ class TreeRegistry:
             if not leader:
                 event.wait()
                 continue
-            published = False
+            published = advanced = False
             try:
                 try:
                     tree, epoch = store.load(name)
@@ -436,15 +464,13 @@ class TreeRegistry:
                     # the registry already knows (epochs survive eviction
                     # exactly for this check): a load that raced an eviction
                     # may have read the file *before* the newer generation
-                    # was packed, and publishing it would regress the epoch
-                    # — and let the budget sweep re-pack the old bytes over
-                    # the new ones.  Stale loads retry; the eviction that
-                    # dropped the newer resident packed it first, so the
-                    # re-read is guaranteed to see the current generation.
-                    if (
-                        name not in self._trees
-                        and epoch >= self._epochs.get(name, 0)
-                    ):
+                    # was packed, and publishing it would regress the epoch.
+                    # Stale loads retry; every generation is packed before
+                    # its epoch is published, so the re-read is guaranteed
+                    # to see the current one.
+                    known = self._epochs.get(name, 0)
+                    if name not in self._trees and epoch >= known:
+                        advanced = epoch > known
                         self._trees[name] = tree
                         self._epochs[name] = epoch
                         self._lru[name] = cost
@@ -465,8 +491,14 @@ class TreeRegistry:
                 # evict this very tree immediately, and re-probing would
                 # load it again forever.  The caller's reference (and its
                 # pin, taken atomically with the publish above) stays valid
-                # either way.
-                self._evict_over_budget()
+                # either way.  A generation newer than any this registry
+                # published (a shard catching up with its parent) is a
+                # re-registration to listeners: result caches must drop
+                # values computed from the older one.
+                if advanced:
+                    self._notify(name)
+                else:
+                    self._evict_over_budget()
                 return tree, epoch
 
     def _account(self, name: str, tree: Tree, cost: int) -> None:
@@ -478,32 +510,6 @@ class TreeRegistry:
             self._lru[name] = cost
             self._resident_bytes += cost - previous
             obs.gauge("registry_resident_bytes").set(self._resident_bytes)
-
-    def _write_through(self, name: str, tree: Tree, epoch: int) -> None:
-        """Sync the stored generation with a just-published registration.
-
-        Skipped when the store already holds this epoch (the sharded
-        mutator packs before broadcasting, so its registrations arrive
-        pre-synced).  A failed pack is counted, not raised: the tree
-        simply stays unevictable until a later pack succeeds.
-        """
-        store = self._store
-        if store is None or self._store_readonly:
-            return
-        with self._store_lock:
-            with self._lock:
-                if (
-                    self._epochs.get(name) != epoch
-                    or self._trees.get(name) is not tree
-                ):
-                    return  # a newer registration owns the store file now
-            stored = store.epoch(name)
-            if stored is not None and stored >= epoch:
-                return  # already durable (or a newer pack beat us to it)
-            try:
-                store.pack(name, tree, epoch=epoch)
-            except OSError:
-                obs.counter("store_pack_errors_total").inc()
 
     def _drop_resident(self, name: str) -> int:
         """Forget the resident tree (caller holds ``_lock``); bytes freed.
@@ -521,11 +527,13 @@ class TreeRegistry:
     def _evict_over_budget(self) -> None:
         """Evict LRU-first until resident bytes fit the budget.
 
-        A victim is only evictable once the store holds its current epoch
-        (read-write registries re-pack to get there; read-only ones skip
-        it) and no reader pins it.  When everything left is pinned or
-        unevictable the loop gives up — a burst of pinned readers may
-        overshoot the budget transiently rather than fail.
+        A victim is only evictable once the store holds its epoch (or a
+        newer one) and no reader pins it.  A writable store always does —
+        generations are packed before they publish — so this skips only a
+        read-only registry's residents that never reached the store.  When
+        everything left is pinned or unevictable the loop gives up — a
+        burst of pinned readers may overshoot the budget transiently rather
+        than fail.
         """
         store, budget = self._store, self._resident_budget
         if store is None or budget is None:
@@ -544,120 +552,73 @@ class TreeRegistry:
                     return  # every resident is pinned or unevictable
                 tree = self._trees[victim]
                 epoch = self._epochs[victim]
-            # Pack-and-drop as one critical section on the store lock:
-            # every packer serializes on it, so once the stored generation
-            # is verified (or written) current, no stale packer can regress
-            # the file before the drop below commits.  Packing itself is
-            # guarded twice — never over a newer stored generation, and
-            # never from a snapshot that a concurrent registration has
-            # superseded — because a stale pack would silently replace the
-            # only durable copy of the current epoch.
-            with self._store_lock:
-                stored = store.epoch(victim)
-                if stored != epoch:
-                    if self._store_readonly or (
-                        stored is not None and stored > epoch
-                    ):
-                        skip.add(victim)
-                        continue
-                    with self._lock:
-                        superseded = (
-                            self._trees.get(victim) is not tree
-                            or self._epochs.get(victim) != epoch
-                        )
-                    if superseded:
-                        skip.add(victim)
-                        continue
-                    try:
-                        store.pack(victim, tree, epoch=epoch)
-                    except OSError:
-                        obs.counter("store_pack_errors_total").inc()
-                        skip.add(victim)
-                        continue
-                with self._lock:
-                    if (
-                        self._pins.get(victim, 0)
-                        or self._trees.get(victim) is not tree
-                        or self._epochs.get(victim) != epoch
-                    ):
-                        skip.add(victim)  # pinned or republished since chosen
-                        continue
-                    self._drop_resident(victim)
+            stored = store.epoch(victim)
+            with self._lock:
+                if (
+                    stored is None
+                    or stored < epoch
+                    or self._pins.get(victim, 0)
+                    or self._trees.get(victim) is not tree
+                ):
+                    skip.add(victim)  # unstored, pinned, or republished
+                    continue
+                self._drop_resident(victim)
             obs.counter("store_evictions_total").inc()
 
     def evict(self, name: str) -> int:
         """Explicitly demote ``name`` to the store; the bytes freed.
 
         Refuses with ``ValueError`` while any reader pins the tree (the
-        caller should retry after the pins drain).  Evicting an
-        already-cold name returns 0; an unknown name raises.
+        caller should retry after the pins drain), and for a resident a
+        read-only store does not hold.  Evicting an already-cold name
+        returns 0; an unknown name raises.
         """
         store = self._store
         if store is None:
             raise ValueError("no store attached; evict() requires attach_store()")
         with self._lock:
             tree = self._trees.get(name)
-            known = name in self._epochs
-            if tree is not None:
-                pins = self._pins.get(name, 0)
-                if pins:
-                    raise ValueError(
-                        f"tree {name!r} is pinned by {pins} reader(s); "
-                        "refusing to evict"
-                    )
-                epoch = self._epochs[name]
+            epoch = self._epochs.get(name)
         if tree is None:
-            if known or store.contains(name):
+            if epoch is not None or store.contains(name):
                 return 0
             raise ValueError(
                 f"unknown tree {name!r}; registered: {self.names() or '(none)'}"
             )
-        # Pack-and-drop under the store lock, like the budget sweep: the
-        # stored generation cannot be regressed by a stale packer between
-        # the currency check and the drop.
-        with self._store_lock:
-            stored = store.epoch(name)
-            if stored is None or stored < epoch:
-                if self._store_readonly:
-                    raise ValueError(
-                        f"tree {name!r} is newer than its stored generation "
-                        "and the store is read-only"
-                    )
-                with self._lock:
-                    superseded = (
-                        self._trees.get(name) is not tree
-                        or self._epochs.get(name) != epoch
-                    )
-                if superseded:
-                    return 0  # a newer registration owns the store file now
-                store.pack(name, tree, epoch=epoch)
-            with self._lock:
-                pins = self._pins.get(name, 0)
-                if pins:
-                    raise ValueError(
-                        f"tree {name!r} is pinned by {pins} reader(s); "
-                        "refusing to evict"
-                    )
-                if (
-                    self._trees.get(name) is not tree
-                    or self._epochs.get(name) != epoch
-                ):
-                    return 0  # republished while packing; this one is gone
-                freed = self._drop_resident(name)
+        stored = store.epoch(name)
+        if stored is None or stored < epoch:
+            raise ValueError(
+                f"tree {name!r} is newer than its stored generation "
+                "and the store is read-only"
+            )
+        with self._lock:
+            pins = self._pins.get(name, 0)
+            if pins:
+                raise ValueError(
+                    f"tree {name!r} is pinned by {pins} reader(s); refusing to evict"
+                )
+            if self._trees.get(name) is not tree:
+                return 0  # republished meanwhile; the new generation stays
+            freed = self._drop_resident(name)
         obs.counter("store_evictions_total").inc()
         return freed
 
     def refresh(self, name: str, epoch: int) -> None:
         """Drop a resident older than ``epoch`` so the next touch reloads.
 
-        The shard-side reaction to a parent's "drop" broadcast after a
-        mutation: the parent packs the new generation *before*
-        broadcasting, so re-loading from the store is guaranteed to see an
-        epoch >= the broadcast one.  A no-op for already-cold or
-        already-current names.
+        How a shard catches up with a mutation published by its parent: the
+        parent packs each generation before publishing its epoch, so a
+        reload from the store sees at least any epoch the parent has
+        reported.  In-flight pins keep their snapshot — only the registry's
+        reference drops.  A no-op without a store (there would be nothing
+        to reload) and for cold or already-current names.
         """
         with self._lock:
-            if name in self._trees and self._epochs.get(name, 0) < epoch:
+            if (
+                self._store is not None
+                and name in self._trees
+                and self._epochs.get(name, 0) < epoch
+            ):
                 self._drop_resident(name)
 
     def _unpin(self, name: str) -> None:
@@ -674,57 +635,76 @@ class TreeRegistry:
     def subscribe(self, listener) -> None:
         """Call ``listener(name)`` whenever ``name``'s tree (re)registers.
 
-        The result cache subscribes here: a re-registration bumps the
-        tree's cache epoch so stale values are never served.  Listeners
-        run on the registering thread, outside the registry lock, and are
-        exception-isolated: a raising listener is counted
-        (``registry_listener_errors_total``) and skipped, never aborting
-        the registration or starving later listeners.
+        That includes loading a stored generation newer than any this
+        registry has published.  The result cache subscribes here: a
+        re-registration bumps the tree's cache epoch so stale values are
+        never served.  Listeners run on the registering thread, outside
+        the registry's locks, and are exception-isolated: a raising
+        listener is counted (``registry_listener_errors_total``) and
+        skipped, never aborting the registration or starving later
+        listeners.
         """
         with self._lock:
             self._listeners.append(listener)
 
-    def register(
-        self, name: str, tree: Tree, *, epoch: int | None = None, _wal_logged: bool = False
-    ) -> int:
+    def register(self, name: str, tree: Tree, *, epoch: int | None = None) -> int:
         """Publish ``tree`` under ``name`` and return the new epoch.
 
-        ``epoch`` pins the published epoch explicitly (the sharded tier
-        uses this to keep parent and shard epochs in lockstep); by default
-        the name's epoch is bumped by one.  With a WAL attached, the
-        registration is appended to the log *before* it publishes
-        (``_wal_logged=True`` marks callers — :meth:`mutate`, the sharded
-        mutator — that already wrote their own record).
+        ``epoch`` pins the published epoch explicitly (WAL recovery replays
+        logged epochs this way); by default the epoch moves one past both
+        the registry's and the store's.  Under the mutation lock, an
+        attached WAL logs the registration and a writable store packs it
+        *before* the epoch is published; either failing aborts with the
+        registry and the log untouched.
         """
         if not name:
             raise ValueError("tree name must be non-empty")
-        wal = self._wal
-        if wal is not None and not _wal_logged:
-            with self._mutation_lock:
-                if epoch is None:
-                    epoch = self._next_epoch(name)
-                wal.append_register(name, epoch, tree)
-                return self.register(name, tree, epoch=epoch, _wal_logged=True)
-        if epoch is None and self._store is not None:
-            epoch = self._next_epoch(name)
-        with self._lock:
+        with self._mutation_lock:
             if epoch is None:
-                epoch = self._epochs.get(name, 0) + 1
+                epoch = self._next_epoch(name)
+            seq = None
+            if self._wal is not None:
+                seq = self._wal.append_register(name, epoch, tree)
+            self._publish(name, tree, epoch, seq)
+        self._notify(name)
+        return epoch
+
+    def _publish(self, name: str, tree: Tree, epoch: int, seq: int | None) -> None:
+        """Pack, then make ``(tree, epoch)`` current (mutation lock held).
+
+        ``seq`` is the WAL record logged for this publish; a failed pack
+        retracts it, so the log stays untouched like the registry.
+        """
+        store = self._store
+        if store is not None and not self._store_readonly:
+            try:
+                store.pack(name, tree, epoch=epoch)
+            except OSError:
+                if seq is not None:
+                    self._wal.retract(seq)
+                raise
+        with self._lock:
             self._trees[name] = tree
             self._epochs[name] = epoch
+        if self._wal is not None:
+            self._wal.maybe_snapshot(self._wal_state)
+        if store is not None:
+            self._account(name, tree, index_nbytes(tree_index(tree)))
+
+    def _notify(self, name: str) -> None:
+        """Run listeners and the budget sweep after a publish.
+
+        Both run outside the mutation lock, so a listener may call back
+        into the registry (even re-register) without deadlocking.
+        """
+        with self._lock:
             listeners = list(self._listeners)
         for listener in listeners:
             try:
                 listener(name)
             except Exception:
                 obs.counter("registry_listener_errors_total").inc()
-        if wal is not None:
-            wal.maybe_snapshot(self._wal_state)
-        if self._store is not None:
-            self._account(name, tree, index_nbytes(tree_index(tree)))
-            self._write_through(name, tree, epoch)
-            self._evict_over_budget()
-        return epoch
+        self._evict_over_budget()
 
     def get(self, name: str) -> Tree:
         tree, _ = self._lookup(name)
@@ -767,8 +747,11 @@ class TreeRegistry:
         with its ``TreeIndex`` maintained incrementally, then published
         atomically under the next epoch; concurrent readers holding pins
         (or plain ``get()`` results) keep their pre-edit snapshot.  Writers
-        serialize on a mutation lock so edits never interleave.  Returns
-        the published ``(tree, epoch)``.
+        serialize on a mutation lock so edits never interleave; with a
+        writable store the new generation is packed before it publishes,
+        and a failed pack (``OSError``) aborts with the registry, the
+        resident tree and the stored generation untouched.  Returns the
+        published ``(tree, epoch)``.
         """
         from ..runtime import faults
         from ..trees.mutate import apply_edit_indexed, edit_from_json, edit_to_json
@@ -779,15 +762,17 @@ class TreeRegistry:
             old = self.get(name)
             faults.check("trees.mutate")
             new_tree = apply_edit_indexed(old, edit)
+            epoch = self.epoch(name) + 1
+            seq = None
             if self._wal is not None:
                 # Log-ahead: the record is durable before the epoch is
                 # visible.  A failed append (wal.append fault, disk error)
                 # aborts here with the registry untouched.
-                epoch = self.epoch(name) + 1
-                self._wal.append_mutate(name, epoch, edit_to_json(edit), new_tree)
-                self.register(name, new_tree, epoch=epoch, _wal_logged=True)
-            else:
-                epoch = self.register(name, new_tree)
+                seq = self._wal.append_mutate(
+                    name, epoch, edit_to_json(edit), new_tree
+                )
+            self._publish(name, new_tree, epoch, seq)
+        self._notify(name)
         obs.counter("tree_mutations_total", kind=edit.kind).inc()
         return new_tree, epoch
 

@@ -1,22 +1,20 @@
-"""The multiprocess execution tier: shard pool over shared-memory indexes.
+"""The multiprocess execution tier: a shard pool reading trees from a store.
 
 :class:`ShardedQueryService` presents the same surface as
 :class:`~repro.service.workers.QueryService` — ``submit`` / ``run_batch`` /
 ``map_stream`` / ``shutdown`` / ``stats_snapshot`` / context manager — but
-executes requests in **shard processes**, so the bitset engines' single-core
+executes reads in **shard processes**, so the bitset engines' single-core
 wins compound across cores instead of serializing on the GIL.
 
 How the pieces fit:
 
-* **Shared-memory tree indexes** — at startup (and on late
-  :meth:`register`) every registered tree's
-  :class:`~repro.trees.index.TreeIndex` is serialized once
-  (:func:`repro.trees.share.dump_index`) into a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment.  Shards
-  attach the segment read-only and reconstruct masks via ``int.from_bytes``
-  over mapped memoryview slices (lazily for the quadratic tables) — no
-  pickled trees cross a pipe, and the segment pages are shared by every
-  shard.
+* **Trees reach shards only through a store** — the registry's own
+  :class:`~repro.trees.store.TreeStore`, or, when it has none, a scratch
+  store the service attaches in a fresh ``repro-shards-*`` directory under
+  ``/dev/shm`` (the platform temp dir where that is missing) and removes at
+  shutdown, close and interpreter exit.  Each shard attaches the store
+  read-only and mmaps a tree's RSTR file on first touch: no pickled trees
+  cross a pipe, and tmpfs pages are shared by every shard.
 * **Routing** — requests naming a registered tree go to
   ``crc32(tree) % shards`` (all requests for one document hit one shard, so
   its compiled-plan caches stay hot); inline-``xml`` and ``equivalent``
@@ -36,27 +34,24 @@ How the pieces fit:
   :class:`~repro.service.queue.BoundedRequestQueue` per shard gives the
   same backpressure/shedding behaviour at submit time, and an in-flight
   cap per shard keeps the pipe from buffering unboundedly.
-* **Live documents** — ``mutate`` requests run on a parent-side writer
-  thread (the parent owns the registry and the segments): the edit is
-  applied copy-on-write with incremental index maintenance
-  (:mod:`repro.trees.mutate`), the new index is serialized into a *fresh*
-  segment, the ``(segment, epoch)`` pair is broadcast to every shard, and
-  only then is the new epoch published to the parent registry
-  (broadcast-before-publish).  Reads against named trees are stamped with
-  the registry epoch at dispatch; a shard whose broadcast was dropped (the
-  ``service.reshare`` fault site) answers with a structured
-  :class:`~repro.runtime.errors.StaleEpochError`, which the parent heals
-  by re-sharing the current segment to that shard and re-dispatching —
-  bounded retries, after which the retryable error reaches the caller.
-  Old segments stay attached in the shards, so in-flight requests pinned
-  to a pre-edit epoch keep their snapshot.
+* **Live documents** — ``mutate`` requests never leave the parent: they
+  run on a one-worker in-parent :class:`QueryService` over the same
+  registry, whose :meth:`~repro.service.api.TreeRegistry.mutate` packs the
+  new generation into the store *before* it publishes the epoch.  Reads
+  against named trees are stamped with the registry epoch at dispatch
+  (``min_epoch``); a shard whose resident copy is older drops it and
+  reloads the file inside ``QueryService._resolve_tree``, so no shard ever
+  answers from a generation older than the one published when the read
+  was dispatched.  In-flight requests pinned to a pre-edit copy keep their
+  snapshot.
 * **Stats reconciliation** — shards ship their
   :class:`~repro.service.stats.ServiceStats` snapshot plus a metrics-
   registry *delta* (:func:`repro.obs.diff_state`, so ``fork``-inherited
   counts are not double-reported) back to the parent, which merges raw
   histogram reservoirs — never percentiles — via
   :func:`repro.obs.merge_states` /
-  :meth:`~repro.service.stats.ServiceStats.merge_snapshots`.
+  :meth:`~repro.service.stats.ServiceStats.merge_snapshots`, together with
+  the in-parent mutator's snapshot.
 
 Failure containment: a shard process that dies mid-run resolves every
 request routed to it with a structured
@@ -76,19 +71,20 @@ no orphan survives a ``KeyboardInterrupt`` or test teardown.
 dead forever, a :class:`~repro.service.supervisor.ShardSupervisor` monitor
 thread detects the death (liveness poll + optional heartbeat staleness),
 respawns the process with exponential backoff under a rolling restart
-budget, resyncs it completely (every current RTIX segment at its current
-epoch, tracked fault arms re-delivered), and re-dispatches the requests
-that were in flight on the casualty — callers see one slower answer, not
-an error.  Requests arriving while the replacement spawns wait (bounded by
-their own deadlines) rather than failing fast.  Only when the budget is
-exhausted does the shard degrade terminally: everything routed to it
-resolves with :class:`~repro.runtime.errors.ShardUnavailableError`.
+budget, re-delivers the tracked fault arms (the replacement reads trees
+from the store like any shard, so there is no tree state to resync), and
+re-dispatches the requests that were in flight on the casualty — callers
+see one slower answer, not an error.  Requests arriving while the
+replacement spawns wait (bounded by their own deadlines) rather than
+failing fast.  Only when the budget is exhausted does the shard degrade
+terminally: everything routed to it resolves with
+:class:`~repro.runtime.errors.ShardUnavailableError`.
 
 **Durability**: attach a :class:`~repro.trees.wal.WriteAheadLog` to the
 parent registry (``registry.attach_wal``) and every mutation appends its
-edit record — log-ahead, inside the mutation lock, before the broadcast
-and the epoch publish — so ``repro recover DIR`` folds the history back
-after a crash of the *parent* itself.
+edit record — log-ahead, inside the mutation lock, before the pack and
+the epoch publish — so ``repro recover DIR`` folds the history back after
+a crash of the *parent* itself.
 """
 
 from __future__ import annotations
@@ -96,28 +92,25 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
-import random
+import shutil
+import tempfile
 import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import connection as _mp_connection
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context
 
 from .. import obs
 from ..runtime import faults
 from ..runtime.errors import (
-    DeadlineExceededError,
-    EngineFaultError,
-    InjectedFaultError,
     RequestShedError,
     ServiceClosedError,
     ShardCrashedError,
     ShardUnavailableError,
 )
-from ..trees.share import detach_tree, dump_index, load_tree
-from ..trees.index import tree_index
+from ..trees.store import TreeStore
 from .api import QueryRequest, QueryResult, TreeRegistry, error_payload
 from .queue import BoundedRequestQueue
 from .retry import RetryPolicy
@@ -136,6 +129,8 @@ class ShardConfig:
 
     shard_id: int
     service_name: str
+    #: The store every shard reads trees from (read-only; the parent packs).
+    store_dir: str
     workers: int = 1
     queue_limit: int = 64
     retry: RetryPolicy | None = None
@@ -148,31 +143,14 @@ class ShardConfig:
     cache_entries: int = 512
     cache_bytes: int = 8 << 20
     heartbeat_interval: float = 0.5
-    #: Disk-backed store mode: shards mmap the parent's store files
-    #: directly (read-only) instead of receiving re-shared segments.
-    store_dir: str | None = None
     resident_budget: int | None = None
 
 
-def _attach_segment(shm_name: str) -> shared_memory.SharedMemory:
-    """Attach a segment without registering it with the resource tracker.
-
-    The parent owns segment lifetime (it unlinks on shutdown), and shard
-    children share the parent's tracker process under both ``fork`` and
-    ``spawn`` — so a child's attach-time registration (unconditional before
-    Python 3.13's ``track=False``) followed by an unregister would erase
-    the *parent's* entry and make the parent's eventual ``unlink`` scream.
-    Suppressing registration for the duration of the attach is the
-    documented workaround.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=shm_name)
-    finally:
-        resource_tracker.register = original
+def _scratch_root() -> str:
+    """Where scratch stores go: tmpfs when the platform has one."""
+    if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK):
+        return "/dev/shm"
+    return tempfile.gettempdir()
 
 
 def _wire_result(result: QueryResult, shard_id: int) -> dict:
@@ -181,7 +159,7 @@ def _wire_result(result: QueryResult, shard_id: int) -> dict:
     return payload
 
 
-def _shard_main(shard_id, request_q, result_conn, segments, config) -> None:
+def _shard_main(shard_id, request_q, result_conn, config) -> None:
     """Entry point of one shard process (module-level for ``spawn``).
 
     ``result_conn`` is this shard's *private* result pipe: no IPC lock is
@@ -213,20 +191,16 @@ def _shard_main(shard_id, request_q, result_conn, segments, config) -> None:
     # included) belongs to the parent; the shard reports only its delta.
     base_state = obs.REGISTRY.snapshot()
 
+    # Read-only: the parent is the single store writer (it packs before it
+    # publishes an epoch), so a shard never races it on a file; trees mmap
+    # straight from the store on first touch, under this shard's own
+    # resident budget, and stamped reads refresh stale copies from it.
     registry = TreeRegistry()
-    if config.store_dir:
-        # Read-only: the parent is the single store writer (it packs before
-        # broadcasting a drop), so a shard never races it on a file; cold
-        # trees mmap straight from disk on first touch, under this shard's
-        # own resident budget.
-        from ..trees.store import TreeStore
-
-        registry.attach_store(
-            TreeStore(config.store_dir),
-            resident_budget=config.resident_budget,
-            readonly=True,
-        )
-    attached: list[tuple[shared_memory.SharedMemory, object]] = []
+    registry.attach_store(
+        TreeStore(config.store_dir),
+        resident_budget=config.resident_budget,
+        readonly=True,
+    )
 
     # Liveness heartbeat: a cheap periodic "hb" on the result queue lets
     # the parent's supervisor distinguish a hung shard (alive but silent)
@@ -247,26 +221,8 @@ def _shard_main(shard_id, request_q, result_conn, segments, config) -> None:
         )
         heartbeat.start()
 
-    def attach(name: str, shm_name: str, nbytes: int, epoch: int) -> None:
-        # Pre-mutation segments stay attached (and their trees alive) for
-        # the rest of the shard's life: in-flight requests pinned to an
-        # older epoch keep reading the snapshot they started with.
-        shm = _attach_segment(shm_name)
-        tree = load_tree(memoryview(shm.buf)[:nbytes])
-        registry.register(name, tree, epoch=epoch)
-        attached.append((shm, tree))
-
     service = None
     try:
-        for name, shm_name, nbytes, epoch in segments:
-            try:
-                attach(name, shm_name, nbytes, epoch)
-            except FileNotFoundError:
-                # A mutation raced this shard's startup and unlinked the
-                # spec'd segment.  Its replacement was broadcast to our
-                # request queue before the unlink, so skipping is safe:
-                # the newer epoch registers when the loop below drains it.
-                continue
         service = QueryService(
             registry,
             workers=config.workers,
@@ -334,17 +290,6 @@ def _shard_main(shard_id, request_q, result_conn, segments, config) -> None:
                     )
                     continue
                 handle.add_done_callback(on_done(seq))
-            elif kind == "tree":
-                try:
-                    attach(message[1], message[2], message[3], message[4])
-                except BaseException:  # pragma: no cover - defensive
-                    pass  # requests for it will fail with "unknown tree"
-            elif kind == "drop":
-                # The parent packed a new generation and invalidated ours:
-                # forget the resident copy so the next stamped read reloads
-                # the (already current) store file.  In-flight pins keep
-                # their snapshot — only the registry's reference drops.
-                registry.refresh(message[1], message[2])
             elif kind == "faults":
                 faults.arm(message[1], message[2])
             elif kind == "disarm":
@@ -363,25 +308,12 @@ def _shard_main(shard_id, request_q, result_conn, segments, config) -> None:
                 service.shutdown(drain=False)
             except Exception:  # pragma: no cover - defensive
                 pass
-        for shm, tree in attached:
-            try:
-                detach_tree(tree)
-                shm.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
 
 
 class _ShardJob:
     """One admitted request in the parent (mirrors ``workers._Job``)."""
 
-    __slots__ = (
-        "request",
-        "deadline",
-        "submitted_at",
-        "pending",
-        "shard",
-        "reshare_retries",
-    )
+    __slots__ = ("request", "deadline", "submitted_at", "pending", "shard")
 
     def __init__(self, request, deadline, submitted_at, shard):
         self.request = request
@@ -389,11 +321,10 @@ class _ShardJob:
         self.submitted_at = submitted_at
         self.shard = shard
         self.pending = PendingResult()
-        self.reshare_retries = 0
 
 
 class ShardedQueryService:
-    """A pool of shard processes serving queries over shared tree indexes."""
+    """A pool of shard processes serving queries from a tree store."""
 
     def __init__(
         self,
@@ -430,6 +361,11 @@ class ShardedQueryService:
         if max_restarts is not None and max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
         self.registry = registry if registry is not None else TreeRegistry()
+        if self.registry.store_readonly:
+            raise ValueError(
+                "ShardedQueryService packs every published generation; "
+                "the registry's store is read-only"
+            )
         self.shards = shards
         self.start_method = start_method
         self.stats = ServiceStats()
@@ -437,16 +373,10 @@ class ShardedQueryService:
         self._defaults = (default_timeout, default_max_steps, default_max_nodes)
         self._shutdown_timeout = shutdown_timeout
         self._inflight_cap = queue_limit + workers_per_shard
-        # Mutations run on the parent (it owns the registry and segments):
-        # one writer thread, serialized with late register() on this lock.
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._mutation_lock = threading.Lock()
-        self._mutator_rng = random.Random(4040)
-        self._max_reshare_retries = 3
 
         ctx = get_context(start_method)
         self._ctx = ctx
-        self._segments: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
+        self._scratch: TreeStore | None = None
         self._processes: list = []
         self._request_qs: list = []
         #: Per-shard result-pipe read ends; ``None`` marks a slot retired by
@@ -492,16 +422,14 @@ class ShardedQueryService:
         )
 
         try:
-            segment_specs = []
-            store = self.registry.store
-            for name in self.registry.resident_names():
-                if store is not None and store.epoch(name) == self.registry.epoch(name):
-                    # The store holds this tree at its current epoch, so
-                    # shards mmap the file directly — no segment, and cold
-                    # (never-resident) trees cost the parent nothing at all.
-                    continue
-                spec = self._create_segment(name, self.registry.get(name))
-                segment_specs.append(spec + (self.registry.epoch(name),))
+            if self.registry.store is None:
+                # No store of its own: serve from a scratch one on tmpfs.
+                # Attaching packs every resident; from here on the registry
+                # packs each generation before publishing it.
+                self._scratch = TreeStore(
+                    tempfile.mkdtemp(prefix="repro-shards-", dir=_scratch_root())
+                )
+                self.registry.attach_store(self._scratch)
 
             # One private result pipe per shard (not a shared queue): a
             # queue shared by every shard keeps its writer lock in shared
@@ -520,7 +448,6 @@ class ShardedQueryService:
                         shard_id,
                         request_q,
                         result_writer,
-                        segment_specs,
                         self._make_config(shard_id),
                     ),
                     name=f"repro-shard-{shard_id}",
@@ -542,10 +469,10 @@ class ShardedQueryService:
                 # shard still trips the staleness check.
                 self._heartbeats[shard_id] = time.monotonic()
         except BaseException:
-            self._cleanup_segments()
             for process in self._processes:
                 if process.is_alive():  # pragma: no cover - defensive
                     process.terminate()
+            self._remove_scratch()
             raise
 
         for shard_id in range(shards):
@@ -568,22 +495,22 @@ class ShardedQueryService:
                 daemon=True,
             )
             self._feeders.append(feeder)
-        self._mutation_q = BoundedRequestQueue(
-            queue_limit,
+        # Writes never cross a pipe: one in-parent worker runs them through
+        # the registry, which packs each generation before publishing it.
+        self._mutator = QueryService(
+            self.registry,
+            workers=1,
+            queue_limit=queue_limit,
+            retry=retry,
+            default_timeout=default_timeout,
+            service_name=f"{self.stats.service}.mutator",
             clock=clock,
-            depth_gauge=obs.gauge(
-                "service_queue_depth", service=self.stats.service, shard="mutator"
-            ),
-        )
-        self._mutator = threading.Thread(
-            target=self._mutator_loop, name="repro-shard-mutator", daemon=True
         )
         self._collector = threading.Thread(
             target=self._collector_loop, name="repro-shard-collector", daemon=True
         )
         for feeder in self._feeders:
             feeder.start()
-        self._mutator.start()
         self._collector.start()
         if self._supervised:
             from .supervisor import ShardSupervisor
@@ -600,134 +527,32 @@ class ShardedQueryService:
         atexit.register(self._atexit_close)
 
     def _make_config(self, shard_id: int) -> ShardConfig:
-        # Store fields are read at (re)spawn time, not construction time,
-        # so a registry whose store was attached before the service was
-        # built — the supported order — also covers respawned shards.
-        store = self.registry.store
         return ShardConfig(
             shard_id=shard_id,
             service_name=f"{self.stats.service}.shard{shard_id}",
-            store_dir=None if store is None else str(store.directory),
+            store_dir=str(self.registry.store.directory),
             resident_budget=self.registry.resident_budget,
             **self._config_kwargs,
         )
 
-    # -- segments ----------------------------------------------------------
+    def _remove_scratch(self) -> None:
+        """Detach and delete the scratch store, if this service made one."""
+        scratch, self._scratch = self._scratch, None
+        if scratch is None:
+            return
+        if self.registry.store is scratch:
+            self.registry.detach_store()
+        shutil.rmtree(scratch.directory, ignore_errors=True)
 
-    def _create_segment(self, name: str, tree) -> tuple[str, str, int]:
-        payload = dump_index(tree_index(tree))
-        shm = shared_memory.SharedMemory(create=True, size=len(payload))
-        shm.buf[: len(payload)] = payload
-        self._segments[name] = (shm, len(payload))
-        return (name, shm.name, len(payload))
+    def register(self, name: str, tree) -> int:
+        """Register a tree after startup; returns its epoch.
 
-    def _replace_segment(self, name: str, tree):
-        """Swap in a fresh segment for ``name``; ``(spec, old_shm_or_None)``.
-
-        The old segment is returned instead of unlinked here: shards that
-        attached it keep their mapping regardless, but the *name* must stay
-        resolvable until the replacement has been broadcast (a lagging
-        shard heals by re-attaching the current name).
-        """
-        old = self._segments.get(name)
-        spec = self._create_segment(name, tree)
-        return spec, (old[0] if old is not None else None)
-
-    def _cleanup_segments(self) -> None:
-        for shm, _ in self._segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-
-    def _broadcast_tree(self, spec, epoch: int, only_shard: int | None = None) -> None:
-        """Ship ``(spec, epoch)`` to shards, one ``service.reshare`` fault
-        check per shard — an injected fault skips that shard (it serves
-        stale reads until healed) without failing the mutation itself."""
-        name, shm_name, nbytes = spec
-        targets = [only_shard] if only_shard is not None else list(range(self.shards))
-        for shard in targets:
-            if self._dead[shard] or self._done[shard]:
-                continue
-            try:
-                faults.check("service.reshare")
-                self._request_qs[shard].put(("tree", name, shm_name, nbytes, epoch))
-            except InjectedFaultError:
-                obs.counter("tree_reshare_total", event="fault").inc()
-            except Exception:  # pragma: no cover - racing a crash
-                self._mark_dead(shard)
-            else:
-                obs.counter("tree_reshare_total", event="ok").inc()
-
-    def _broadcast_drop(self, name: str, epoch: int, only_shard: int | None = None) -> None:
-        """Store-mode invalidation: tell shards ``name`` has a new stored
-        generation.  Pack-before-broadcast makes the reload safe; one
-        ``service.reshare`` fault check per shard, exactly like a segment
-        broadcast — a dropped drop leaves that shard stale until the
-        stamped-read heal path re-sends it."""
-        targets = [only_shard] if only_shard is not None else list(range(self.shards))
-        for shard in targets:
-            if self._dead[shard] or self._done[shard]:
-                continue
-            try:
-                faults.check("service.reshare")
-                self._request_qs[shard].put(("drop", name, epoch))
-            except InjectedFaultError:
-                obs.counter("tree_reshare_total", event="fault").inc()
-            except Exception:  # pragma: no cover - racing a crash
-                self._mark_dead(shard)
-            else:
-                obs.counter("tree_reshare_total", event="ok").inc()
-
-    def register(self, name: str, tree) -> None:
-        """Register a tree after startup: segment + broadcast to shards.
-
-        Broadcast-before-publish: shards see the new epoch's segment no
-        later than the parent registry reports the new epoch, so a read
-        stamped with the published epoch can only find a stale shard if a
-        ``service.reshare`` fault dropped that shard's broadcast.
-
-        With a (writable) store attached, the tree is packed to disk at
-        the new epoch instead of re-segmented, and shards receive a
-        ``drop`` invalidation — they mmap the store file on next touch.
+        The registry packs the tree into the store before publishing the
+        epoch, so shards find the file on their first stamped read.
         """
         if self._closed:
             raise ServiceClosedError("service is shutting down")
-        store = self.registry.store
-        store_mode = store is not None and not self.registry.store_readonly
-        with self._mutation_lock:
-            epoch = (
-                self.registry._next_epoch(name)
-                if store_mode
-                else self.registry.epoch(name) + 1
-            )
-            wal = self.registry.wal
-            if wal is not None:
-                wal.append_register(name, epoch, tree)
-            if store_mode:
-                store.pack(name, tree, epoch=epoch)
-                self._broadcast_drop(name, epoch)
-                # Any segment a pre-store generation left behind is now
-                # superseded by the store file; keeping it would let a
-                # respawn re-spec stale bytes at a current epoch.
-                old_entry = self._segments.pop(name, None)
-                old_shm = old_entry[0] if old_entry is not None else None
-            else:
-                spec, old_shm = self._replace_segment(name, tree)
-                self._broadcast_tree(spec, epoch)
-            self.registry.register(name, tree, epoch=epoch, _wal_logged=True)
-        self._unlink_old(old_shm)
-
-    @staticmethod
-    def _unlink_old(old_shm) -> None:
-        if old_shm is not None:
-            try:
-                old_shm.close()
-                old_shm.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
+        return self.registry.register(name, tree)
 
     # -- admission ---------------------------------------------------------
 
@@ -746,6 +571,11 @@ class ShardedQueryService:
         """Admit one request (same contract as ``QueryService.submit``)."""
         if self._closed:
             raise ServiceClosedError("service is shutting down")
+        self.stats.record_submitted()
+        if request.op == "mutate":
+            # Counted here like every admission; the mutator's own stats
+            # carry the outcome (merged in stats_snapshot).
+            return self._mutator.submit(request, block=block, timeout=timeout)
         now = self._clock()
         default_timeout = self._defaults[0]
         per_request = (
@@ -758,21 +588,10 @@ class ShardedQueryService:
             now,
             shard,
         )
-        self.stats.record_submitted()
         try:
             request.validate()
         except ValueError as exc:
             self._finish_local(job, self._error_result(job, exc, "admission"))
-            return job.pending
-        if request.op == "mutate":
-            # Mutations never cross the pipe: the parent owns the registry
-            # and the shared-memory segments, so the writer runs here and
-            # re-shares the result to every shard.
-            for expired in self._mutation_q.put(job, block=block, timeout=timeout):
-                self._finish_local(
-                    job=expired,
-                    result=self._shed_result(expired, "deadline passed while queued"),
-                )
             return job.pending
         if self._failed[shard]:
             self._finish_local(job, self._unavailable_result(job))
@@ -870,10 +689,9 @@ class ShardedQueryService:
 
         The remaining timeout is refreshed (queue wait already spent), and
         named-tree reads are stamped with the registry's *current* epoch as
-        ``min_epoch`` — the freshness floor the shard must meet, and the
-        signal that turns a dropped re-share into a structured, healable
-        :class:`~repro.runtime.errors.StaleEpochError` instead of a
-        silently stale answer.
+        ``min_epoch`` — the freshness floor the shard must meet.  The store
+        already holds that generation (packed before publish), so a shard
+        whose copy is older refreshes it instead of answering stale.
         """
         request = job.request
         payload = {field: getattr(request, field) for field in _REQUEST_FIELDS}
@@ -884,123 +702,6 @@ class ShardedQueryService:
                 request.min_epoch or 0, self.registry.epoch(request.tree)
             )
         return payload
-
-    # -- the mutator thread --------------------------------------------------
-
-    def _mutator_loop(self) -> None:
-        while True:
-            job = self._mutation_q.get()
-            if job is None:
-                return  # queue closed and drained
-            now = self._clock()
-            if job.deadline is not None and now >= job.deadline:
-                self._finish_local(
-                    job, self._shed_result(job, "deadline passed while queued")
-                )
-                continue
-            try:
-                result = self._apply_mutation(job)
-            except BaseException as exc:  # the no-lost-requests backstop
-                result = self._error_result(job, exc, "mutator")
-            try:
-                self._finish_local(job, result)
-            except Exception:  # pragma: no cover - a dead mutator would
-                # block every later submit; survive a resolve surprise.
-                obs.counter("service_loop_errors_total", loop="mutator").inc()
-
-    def _apply_mutation(self, job: _ShardJob) -> QueryResult:
-        """One edit: apply, re-segment, broadcast, publish — atomically.
-
-        Everything up to (and including) the registry publish happens under
-        the mutation lock, so readers observe epochs in mutation order and
-        a failed attempt publishes nothing.  Transient faults at the
-        ``trees.mutate`` site retry under the service's retry policy;
-        per-shard ``service.reshare`` faults do *not* fail the mutation —
-        they leave that shard stale, to be healed on its next stamped read.
-        """
-        from ..trees.mutate import apply_edit_indexed, edit_from_json, edit_to_json
-
-        request = job.request
-        try:
-            edit = edit_from_json(request.edit)
-        except (ValueError, TypeError) as exc:
-            return self._error_result(job, exc, "mutator")
-        attempts = 0
-        retries = 0
-        while True:
-            attempts += 1
-            if job.deadline is not None and self._clock() >= job.deadline:
-                exc: BaseException = DeadlineExceededError(
-                    f"deadline passed before mutation of {request.tree!r} applied"
-                )
-                return self._error_result(job, exc, "mutator", retries=retries)
-            old_shm = None
-            try:
-                with obs.span(
-                    "service.mutate", tree=request.tree, attempt=attempts
-                ):
-                    with self._mutation_lock:
-                        old = self.registry.get(request.tree)
-                        faults.check("trees.mutate")
-                        new_tree = apply_edit_indexed(old, edit)
-                        epoch = self.registry.epoch(request.tree) + 1
-                        wal = self.registry.wal
-                        if wal is not None:
-                            # Log-ahead: the edit record is durable before
-                            # the broadcast and the epoch publish.  A failed
-                            # append (wal.append fault site, disk error)
-                            # aborts here — retryable, registry untouched.
-                            wal.append_mutate(
-                                request.tree, epoch, edit_to_json(edit), new_tree
-                            )
-                        store = self.registry.store
-                        if store is not None and not self.registry.store_readonly:
-                            # Store mode: pack the new generation, then
-                            # invalidate — same pack-before-broadcast-
-                            # before-publish ordering as the segment path.
-                            store.pack(request.tree, new_tree, epoch=epoch)
-                            self._broadcast_drop(request.tree, epoch)
-                            old_entry = self._segments.pop(request.tree, None)
-                            old_shm = (
-                                old_entry[0] if old_entry is not None else None
-                            )
-                        else:
-                            spec, old_shm = self._replace_segment(
-                                request.tree, new_tree
-                            )
-                            self._broadcast_tree(spec, epoch)
-                        self.registry.register(
-                            request.tree, new_tree, epoch=epoch, _wal_logged=True
-                        )
-            except (ValueError, TypeError) as exc:
-                return self._error_result(job, exc, "mutator", retries=retries)
-            except EngineFaultError as exc:
-                if attempts < self._retry.max_attempts:
-                    delay = self._retry.delay(attempts, self._mutator_rng)
-                    if job.deadline is not None:
-                        delay = min(delay, max(0.0, job.deadline - self._clock()))
-                    if delay > 0:
-                        time.sleep(delay)
-                    retries += 1
-                    continue
-                return self._error_result(job, exc, "mutator", retries=retries)
-            self._unlink_old(old_shm)
-            obs.counter("tree_mutations_total", kind=edit.kind).inc()
-            return QueryResult(
-                id=request.id,
-                op=request.op,
-                status="ok",
-                value={
-                    "tree": request.tree,
-                    "epoch": epoch,
-                    "kind": edit.kind,
-                    "size": new_tree.size,
-                },
-                retries=retries,
-                routed="mutate",
-                latency=self._clock() - job.submitted_at,
-                worker="mutator",
-            )
 
     def _collector_loop(self) -> None:
         """Multiplex every shard's private result pipe onto one thread.
@@ -1070,20 +771,6 @@ class ShardedQueryService:
             # second release here would quietly inflate the cap.
             return
         self._inflight[shard].release()
-        try:
-            if (
-                payload.get("status") == "error"
-                and (payload.get("error") or {}).get("type") == "StaleEpochError"
-                and job.reshare_retries < self._max_reshare_retries
-                and not self._closed
-                and not self._dead[shard]
-                and (job.deadline is None or self._clock() < job.deadline)
-            ):
-                if self._heal_and_redispatch(job, shard):
-                    return
-        except Exception:  # pragma: no cover - heal is best-effort; the
-            # popped job must still resolve below, never be lost.
-            obs.counter("service_loop_errors_total", loop="collector").inc()
         result = QueryResult(
             id=payload.get("id", job.request.id),
             op=payload.get("op", job.request.op),
@@ -1099,48 +786,6 @@ class ShardedQueryService:
             worker=payload.get("worker", f"shard-{shard}"),
         )
         job.pending.resolve(result)
-
-    def _heal_and_redispatch(self, job: _ShardJob, shard: int) -> bool:
-        """A shard answered stale: re-share the current segment, retry there.
-
-        Runs on the collector thread, so everything is non-blocking: if the
-        segment is gone, the in-flight slot cannot be re-acquired instantly,
-        or the pipe fails, we return False and the stale error resolves to
-        the caller (it is still structured and retryable client-side).
-        """
-        job.reshare_retries += 1
-        name = job.request.tree
-        with self._mutation_lock:
-            entry = self._segments.get(name)
-            epoch = self.registry.epoch(name)
-            spec = None if entry is None else (name, entry[0].name, entry[1])
-            store = self.registry.store
-            store_heal = (
-                spec is None and store is not None and store.contains(name)
-            )
-        if spec is None and not store_heal:  # pragma: no cover - racing shutdown
-            return False
-        if not self._inflight[shard].acquire(blocking=False):
-            return False  # pragma: no cover - shard saturated; resolve stale
-        seq = next(self._seq)
-        with self._pending_lock:
-            self._pending[seq] = job
-        try:
-            if store_heal:
-                # Store mode: no segment to re-share — the shard heals by
-                # dropping its stale resident copy and re-loading the
-                # current generation from the store file.
-                self._broadcast_drop(name, epoch, only_shard=shard)
-            else:
-                self._broadcast_tree(spec, epoch, only_shard=shard)
-            self._request_qs[shard].put(("req", seq, self._wire_payload(job)))
-        except Exception:  # pragma: no cover - racing a crash
-            with self._pending_lock:
-                self._pending.pop(seq, None)
-            self._inflight[shard].release()
-            return False
-        obs.counter("tree_reshare_total", event="heal").inc()
-        return True
 
     def _check_shards(self) -> None:
         for shard, process in enumerate(self._processes):
@@ -1262,17 +907,11 @@ class ShardedQueryService:
     # -- supervision hooks (called by ShardSupervisor) -----------------------
 
     def _respawn_shard(self, shard: int) -> float:
-        """Replace a dead shard with a fully resynced process; resync seconds.
+        """Replace a dead shard with a fresh process; seconds spent.
 
-        The segment-spec snapshot and the request-queue swap happen under
-        the mutation lock, so no mutation's broadcast can fall between the
-        snapshot and the new queue: a broadcast either lands in the new
-        queue (attached after the startup specs — re-registering the same
-        epoch is idempotent) or is covered by the snapshot.  Mutations
-        published while the shard was down are part of the snapshot's
-        per-tree epochs; anything that still slips through (a broadcast
-        skipped because ``_dead`` was set) heals through the stamped-read
-        ``StaleEpochError`` path.
+        The replacement reads trees from the store like any shard (stamped
+        reads refresh anything published while it was down), so the only
+        state to re-deliver is the tracked fault arms.
         """
         start = time.perf_counter()
         old = self._processes[shard]
@@ -1280,20 +919,15 @@ class ShardedQueryService:
             old.join(timeout=1.0)  # reap the zombie
         except Exception:  # pragma: no cover - closed handle
             pass
-        with self._mutation_lock:
-            specs = [
-                (name, shm.name, nbytes, self.registry.epoch(name))
-                for name, (shm, nbytes) in self._segments.items()
-            ]
-            request_q = self._ctx.SimpleQueue()
-            self._request_qs[shard] = request_q
+        request_q = self._ctx.SimpleQueue()
+        self._request_qs[shard] = request_q
         # A fresh result pipe too: the dead shard's pipe may hold a torn
         # frame, and single-writer isolation is the whole point — the
         # replacement never shares an IPC lock with the corpse.
         result_reader, result_writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_shard_main,
-            args=(shard, request_q, result_writer, specs, self._make_config(shard)),
+            args=(shard, request_q, result_writer, self._make_config(shard)),
             name=f"repro-shard-{shard}",
             daemon=True,
         )
@@ -1450,12 +1084,14 @@ class ShardedQueryService:
         shard_stats = {
             f"shard-{shard}": snap for shard, (snap, _) in sorted(snapshots.items())
         }
+        mutator = self._mutator.stats.snapshot()
         merged = ServiceStats.merge_snapshots(
-            [parent, *(snap for snap, _ in snapshots.values())],
+            [parent, *(snap for snap, _ in snapshots.values()), mutator],
             submitted=parent["submitted"],
             latency=obs.merged_histogram(registry, "service_latency_seconds"),
         )
         merged["parent"] = parent
+        merged["mutator"] = mutator
         merged["shards"] = shard_stats
         caches = [
             snap["result_cache"]
@@ -1534,9 +1170,8 @@ class ShardedQueryService:
             self._supervisor.stop()
         for bounded in self._queues:
             bounded.close()
-        self._mutation_q.close()
         if not drain:
-            for bounded in (*self._queues, self._mutation_q):
+            for bounded in self._queues:
                 for job in bounded.drain():
                     self._finish_local(
                         job,
@@ -1548,7 +1183,7 @@ class ShardedQueryService:
                     process.terminate()
         for feeder in self._feeders:
             feeder.join(timeout=max(timeout, 1.0))
-        self._mutator.join(timeout=max(timeout, 1.0))
+        self._mutator.shutdown(drain=drain, timeout=max(timeout, 1.0))
         if not kill:
             for shard, request_q in enumerate(self._request_qs):
                 if not self._dead[shard]:
@@ -1578,7 +1213,7 @@ class ShardedQueryService:
             self._finish_local(
                 job, self._shed_result(job, "service shut down before execution")
             )
-        self._cleanup_segments()
+        self._remove_scratch()
         try:
             atexit.unregister(self._atexit_close)
         except Exception:  # pragma: no cover - interpreter teardown
@@ -1591,7 +1226,8 @@ class ShardedQueryService:
                     process.terminate()
             except Exception:
                 pass
-        self._cleanup_segments()
+        if self._scratch is not None:
+            shutil.rmtree(self._scratch.directory, ignore_errors=True)
 
     def __enter__(self) -> "ShardedQueryService":
         return self

@@ -13,12 +13,11 @@
   per rolling ``window`` seconds per shard, with exponential backoff
   (``backoff_base * 2^k``, capped) between consecutive attempts, so a
   crash-looping shard cannot melt the host;
-* **resyncs full state** — the replacement process receives every current
-  RTIX segment spec (name, shared-memory name, size, epoch) snapshotted
-  under the mutation lock together with a fresh request queue (so no
-  broadcast is lost in the swap), and the service's tracked fault arms are
-  re-delivered (re-armed at their originally requested counts — already-
-  consumed fires on the dead shard are not subtracted);
+* **re-arms faults** — the replacement process reads trees from the
+  service's store like any shard (stamped reads refresh whatever was
+  published while it was down), so the only state it needs is the
+  service's tracked fault arms, re-delivered at their originally requested
+  counts (already-consumed fires on the dead shard are not subtracted);
 * **re-dispatches the casualties** — requests that were in flight on the
   dead shard are stashed (not resolved) at :meth:`notify_death` time and
   re-submitted once the replacement is live: the caller sees one slightly
@@ -33,7 +32,7 @@ Chaos hooks: the ``service.shard_kill`` fault site, checked once per poll
 tick, SIGKILLs one live shard per armed fire — the soak arms it mid-burst
 and asserts ``shard_restarts_total`` reconciles exactly with the injected
 kills.  Metrics: ``shard_restarts_total{shard}`` and ``shard_resync_seconds``
-(spawn + segment re-share + fault re-arm + re-dispatch wall time).
+(spawn + fault re-arm wall time).
 """
 
 from __future__ import annotations

@@ -79,7 +79,8 @@ _FAMILY = {
 }
 
 #: Epoch-lag histogram buckets: how many epochs behind a stamped read found
-#: its local tree (0 = perfectly fresh; >0 only under re-share faults).
+#: its tree after any refresh (0 = fresh; >0 only when the stamp runs ahead
+#: of every published generation).
 _EPOCH_LAG_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 #: Shared (per-alphabet) equivalence corpora; built once, read concurrently.
@@ -585,11 +586,15 @@ class QueryService:
 
         Named trees are *pinned* — the worker holds an atomic
         ``(tree, epoch)`` snapshot for the request's whole execution, so a
-        concurrent mutation never tears its view.  Requests stamped with a
-        ``min_epoch`` (the sharded tier's dispatch-time epoch) additionally
-        verify freshness: a local snapshot older than the stamp raises
-        :class:`StaleEpochError`, the structured retryable signal the
-        parent heals by re-sharing and re-dispatching.
+        concurrent mutation never tears its view.  A snapshot older than a
+        positive ``min_epoch`` (a client's freshness floor, or the sharded
+        tier's dispatch-time stamp) is refreshed once: with a store
+        attached, the copy is dropped and the current generation reloaded,
+        which is how a shard catches up with its parent's mutations (the
+        parent packs each generation before publishing its epoch, so a
+        load begun after the stamp sees at least the stamped one).  A
+        snapshot still older raises :class:`StaleEpochError`, the
+        structured retryable signal.
         """
         if request.op == "equivalent":
             return None, None
@@ -597,14 +602,18 @@ class QueryService:
             from ..trees import parse_xml
 
             return parse_xml(request.xml), None
+        registry = self.registry
         try:
-            pin = self.registry.pin(request.tree)
+            pin = registry.pin(request.tree)
+            if request.min_epoch and pin.epoch < request.min_epoch:
+                pin.release()
+                registry.refresh(request.tree, request.min_epoch)
+                pin = registry.pin(request.tree)
         except ValueError:
-            if request.min_epoch is not None:
-                # The dispatcher stamped an epoch, so the tree exists
-                # upstream — this replica just never (successfully)
-                # attached it.  Surface the healable staleness signal,
-                # not an "unknown tree" dead end.
+            if request.min_epoch:
+                # Someone has seen this epoch published, so the tree exists
+                # upstream and has not reached us yet: retryable staleness.
+                # A floor of 0 demands nothing — that miss is "unknown tree".
                 raise StaleEpochError(request.tree, 0, request.min_epoch)
             raise
         if request.min_epoch is not None:
@@ -652,7 +661,9 @@ class QueryService:
                     "service.mutate", tree=request.tree, attempt=attempts
                 ):
                     new_tree, epoch = self.registry.mutate(request.tree, edit)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OSError) as exc:
+                # Bad edits, and a store that failed to pack the new
+                # generation: neither is transient by contract.
                 return self._error_result(job, exc, worker=worker, retries=retries)
             except EngineFaultError as exc:
                 if attempts < self.retry.max_attempts:

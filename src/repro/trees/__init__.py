@@ -45,7 +45,7 @@ from .mutate import (
     edit_to_json,
 )
 from .node import Node
-from .share import MaskSlab, detach_tree, dump_index, dump_tree, load_tree
+from .share import MaskSlab
 from .store import StoreHandle, TreeStore, index_nbytes, pack_bytes, release_tree
 from .tree import Tree
 from .wal import WriteAheadLog, recover_registry, tree_digest
@@ -67,11 +67,7 @@ __all__ = [
     "TreeIndex",
     "TreeStore",
     "WriteAheadLog",
-    "detach_tree",
-    "dump_index",
-    "dump_tree",
     "index_nbytes",
-    "load_tree",
     "pack_bytes",
     "release_tree",
     "XmlReadOptions",

@@ -155,12 +155,13 @@ class TreeIndex:
     ) -> "TreeIndex":
         """Assemble an index from precomputed state without recomputation.
 
-        This is the shared-memory deserialization entry point
+        This is the deserialization entry point of the section codec
         (:mod:`repro.trees.share`): every mask table is handed in already
-        built — possibly as a lazy view over a mapped segment — so
-        attaching a tree in a shard process skips the O(n²)-bit
-        construction work entirely.  ``prefix`` and ``children_of`` only
-        need ``__getitem__``/``__len__``, which is what the kernels use.
+        built — possibly as a lazy view over a mapped store file — so
+        loading a tree (in a shard process, or after eviction) skips the
+        O(n²)-bit construction work entirely.  ``prefix`` and
+        ``children_of`` only need ``__getitem__``/``__len__``, which is
+        what the kernels use.
         """
         index = object.__new__(cls)
         index.tree = tree

@@ -1,23 +1,17 @@
-"""Flat shared-memory serialization of a :class:`~repro.trees.index.TreeIndex`.
+"""The columnar section codec of a :class:`~repro.trees.index.TreeIndex`.
 
 The bitset engines' whole representation — node sets as big ints over
 preorder ids — was chosen because it packs into flat byte buffers without
-any pointer chasing.  This module exploits that: a tree and its index
-serialize into one **versioned flat segment** that can live in
-:class:`multiprocessing.shared_memory.SharedMemory` and be attached
-read-only by every shard process of the sharded query service
-(:mod:`repro.service.shards`), mirroring the pre/post-order "XPath
+any pointer chasing.  This module is that packing: a tree and its index
+become a list of tagged **sections**, mirroring the pre/post-order "XPath
 accelerator" encoding (one flat table per axis-relevant attribute) in
-relational form.
+relational form.  The on-disk store (:mod:`repro.trees.store`, format
+RSTR v1) frames these sections with its header, offset table and
+per-section checksums; shard processes of the sharded query service mmap
+those files read-only.
 
-Segment layout (all integers little-endian)::
-
-    header    magic "RTIX" | version u16 | reserved u16 | n u32
-              | section_count u32 | total_size u64 | crc32 u32
-    table     section_count × (tag u32, offset u64, length u64)
-    payload   the sections, at their table offsets
-
-Sections (W = ``(n + 7) // 8``, the fixed mask width in bytes):
+Sections (W = ``(n + 7) // 8``, the fixed mask width in bytes; all
+integers little-endian):
 
 ========================  ===================================================
 ``PARENTS``               n × i32 parent ids (root = -1)
@@ -33,46 +27,26 @@ Sections (W = ``(n + 7) // 8``, the fixed mask width in bytes):
 ``PREFIX``                (n + 1) × W interval prefix masks
 ========================  ===================================================
 
-Masks reconstruct "zero-copy-ish" in the attaching process: each is one
-``int.from_bytes`` over a memoryview slice of the mapped segment — no
+Masks reconstruct "zero-copy-ish" in the reading process: each is one
+``int.from_bytes`` over a memoryview slice of the mapped file — no
 pickling, no per-node Python objects — and the two quadratic-size tables
 (``PREFIX``, ``CHILDREN``) are materialized *lazily* through
-:class:`MaskSlab`, so segment pages are only touched (and ints only built)
-for the masks a workload actually uses.
-
-Integrity: the header carries the declared total size and a CRC-32 of the
-section table + payload.  :func:`load_tree` re-validates both plus every
-section's bounds before touching any content, raising a structured
-:class:`~repro.runtime.errors.TreeShareError` on any mismatch — a
-truncated or bit-flipped segment must never reconstruct wrong masks.
+:class:`MaskSlab`, so file pages are only touched (and ints only built)
+for the masks a workload actually uses.  :func:`tree_from_sections` raises
+a structured :class:`~repro.runtime.errors.TreeShareError` on any
+structural mismatch inside the sections, which the store reports as
+corruption.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 
 from ..runtime.errors import TreeShareError
-from .index import TreeIndex, tree_index
+from .index import TreeIndex
 from .tree import Tree
 
-__all__ = [
-    "FORMAT_VERSION",
-    "MAGIC",
-    "MaskSlab",
-    "build_sections",
-    "detach_tree",
-    "dump_index",
-    "dump_tree",
-    "load_tree",
-    "tree_from_sections",
-]
-
-MAGIC = b"RTIX"
-FORMAT_VERSION = 1
-
-_HEADER = struct.Struct("<4sHHIIQI")  # magic, version, reserved, n, sections, size, crc
-_ENTRY = struct.Struct("<IQQ")  # tag, offset, length
+__all__ = ["MaskSlab", "build_sections", "tree_from_sections"]
 
 # Section tags (the offset table makes the layout self-describing, so new
 # sections can be appended in later versions without breaking old readers).
@@ -108,7 +82,7 @@ class MaskSlab:
 
     ``slab[i]`` materializes mask ``i`` with one ``int.from_bytes`` over the
     backing memoryview and caches the int, so repeated kernel access pays
-    the copy once while untouched masks never leave the shared pages.
+    the copy once while untouched masks never leave the mapped pages.
     Supports exactly the container protocol the axis kernels use
     (``__getitem__`` / ``__len__`` / iteration).
     """
@@ -131,7 +105,7 @@ class MaskSlab:
                 raise IndexError(i)
             if self._view is None:
                 raise TreeShareError(
-                    f"mask {i} read after detach(): the backing segment is "
+                    f"mask {i} read after detach(): the backing file is "
                     "unmapped and this mask was never materialized"
                 )
             off = i * self._width
@@ -143,12 +117,12 @@ class MaskSlab:
         return (self[i] for i in range(self._count))
 
     def detach(self) -> None:
-        """Release the backing view (so the segment can be unmapped).
+        """Release the backing view (so the file can be unmapped).
 
         After detaching, only already-materialized masks remain readable;
-        the sharded service calls this on shard shutdown right before
-        closing the shared-memory handle, which would otherwise refuse to
-        unmap while exported views exist.
+        :meth:`repro.trees.store.StoreHandle.close` calls this right before
+        closing the mmap, which would otherwise refuse to unmap while
+        exported views exist.
         """
         if self._view is not None:
             self._view.release()
@@ -156,16 +130,6 @@ class MaskSlab:
 
     def __getstate__(self):  # pragma: no cover - defensive
         raise TypeError("MaskSlab views a process-local mapping; not picklable")
-
-
-def detach_tree(tree: Tree) -> None:
-    """Release every mapped view a loaded tree's index still holds."""
-    index = tree._engine_index
-    if index is None:
-        return
-    for slab in (index.prefix, index.children_of):
-        if isinstance(slab, MaskSlab):
-            slab.detach()
 
 
 def _grouped_bytes(groups: list[tuple[int, int]], width: int) -> bytes:
@@ -200,10 +164,8 @@ def _read_groups(view: memoryview, width: int, n: int) -> list[tuple[int, int]]:
 def build_sections(index: TreeIndex) -> list[tuple[int, bytes]]:
     """The full ``(tag, payload)`` section list for ``index``.
 
-    The canonical serialization of a tree + index, shared between the
-    shared-memory segment writer (:func:`dump_index`) and the on-disk
-    store writer (:mod:`repro.trees.store`), which wrap the same sections
-    in different framing (one CRC over the body vs. per-section CRCs).
+    The canonical serialization of a tree + index; the on-disk store
+    writer (:mod:`repro.trees.store`) wraps it in the RSTR framing.
     """
     tree = index.tree
     n = index.n
@@ -254,104 +216,26 @@ def build_sections(index: TreeIndex) -> list[tuple[int, bytes]]:
     return sections
 
 
-def dump_index(index: TreeIndex) -> bytes:
-    """Serialize ``index`` (and its tree's structure) to one flat segment."""
-    n = index.n
-    sections = build_sections(index)
-
-    table = bytearray()
-    payload = bytearray()
-    base = _HEADER.size + _ENTRY.size * len(sections)
-    for tag, blob in sections:
-        table += _ENTRY.pack(tag, base + len(payload), len(blob))
-        payload += blob
-    body = bytes(table) + bytes(payload)
-    total = _HEADER.size + len(body)
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, 0, n, len(sections), total, zlib.crc32(body)
-    )
-    return header + body
-
-
-def dump_tree(tree: Tree) -> bytes:
-    """Serialize ``tree`` via its (cached, lazily built) index."""
-    return dump_index(tree_index(tree))
-
-
-def _section_view(
-    buffer: memoryview, entries: dict[int, tuple[int, int]], tag: int, total: int
-) -> memoryview:
-    if tag not in entries:
-        raise TreeShareError(f"segment is missing required section {tag}")
-    offset, length = entries[tag]
-    if offset < _HEADER.size or offset + length > total:
-        raise TreeShareError(
-            f"section {tag} spans [{offset}, {offset + length}) "
-            f"outside the declared segment size {total}"
-        )
-    return buffer[offset : offset + length]
-
-
-def load_tree(buffer) -> Tree:
-    """Attach a serialized segment: rebuild the tree, map its index.
-
-    ``buffer`` is any bytes-like object (typically a
-    ``SharedMemory.buf`` memoryview).  Returns the reconstructed
-    :class:`Tree` with its :class:`TreeIndex` already attached (so
-    ``tree_index(tree)`` is O(1) and shares the mapped masks).  The tree's
-    own flat arrays are rebuilt in O(n) from the parents section; every
-    precomputed mask comes from the segment.
-
-    Raises :class:`~repro.runtime.errors.TreeShareError` on any integrity
-    failure — short buffer, bad magic/version, size or CRC mismatch,
-    out-of-bounds or missing sections.
-    """
-    view = memoryview(buffer)
-    if len(view) < _HEADER.size:
-        raise TreeShareError(
-            f"segment too short for header ({len(view)} < {_HEADER.size} bytes)"
-        )
-    magic, version, _, n, section_count, total, crc = _HEADER.unpack_from(view, 0)
-    if magic != MAGIC:
-        raise TreeShareError(f"bad segment magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise TreeShareError(
-            f"unsupported segment version {version} (expected {FORMAT_VERSION})"
-        )
-    if total < _HEADER.size + _ENTRY.size * section_count or total > len(view):
-        raise TreeShareError(
-            f"declared size {total} does not fit the buffer ({len(view)} bytes)"
-        )
-    view = view[:total]
-    if zlib.crc32(view[_HEADER.size :]) != crc:
-        raise TreeShareError("segment checksum mismatch (truncated or corrupted)")
-    if n < 1:
-        raise TreeShareError(f"segment declares an empty tree (n={n})")
-
-    entries: dict[int, tuple[int, int]] = {}
-    for i in range(section_count):
-        tag, offset, length = _ENTRY.unpack_from(view, _HEADER.size + i * _ENTRY.size)
-        entries[tag] = (offset, length)
-    return tree_from_sections(view, entries, n, total)
-
-
 def tree_from_sections(
-    view: memoryview, entries: dict[int, tuple[int, int]], n: int, total: int
+    view: memoryview, entries: dict[int, tuple[int, int]], n: int
 ) -> Tree:
     """Reconstruct a tree + mapped index from validated section bounds.
 
-    The common reader half shared by :func:`load_tree` and the on-disk
-    store: ``entries`` maps section tag to ``(offset, length)`` within
-    ``view`` (whose framing — header layout, checksums — the caller has
-    already validated).  The quadratic ``CHILDREN``/``PREFIX`` families
-    stay lazy :class:`MaskSlab` views over ``view``; everything else is
-    materialized eagerly.  Raises :class:`TreeShareError` on structural
-    problems within the sections themselves.
+    The reader half of the codec: ``entries`` maps section tag to
+    ``(offset, length)`` within ``view``, whose framing — header layout,
+    bounds, checksums — the caller has already validated.  The quadratic
+    ``CHILDREN``/``PREFIX`` families stay lazy :class:`MaskSlab` views over
+    ``view``; everything else is materialized eagerly.  Raises
+    :class:`TreeShareError` on structural problems within the sections
+    themselves.
     """
     width = (n + 7) // 8
 
     def section(tag: int, expected: int | None = None) -> memoryview:
-        sub = _section_view(view, entries, tag, total)
+        if tag not in entries:
+            raise TreeShareError(f"missing required section {tag}")
+        offset, length = entries[tag]
+        sub = view[offset : offset + length]
         if expected is not None and len(sub) != expected:
             raise TreeShareError(
                 f"section {tag} has length {len(sub)}, expected {expected}"
@@ -384,7 +268,7 @@ def tree_from_sections(
     try:
         tree = Tree(labels, parents)
     except ValueError as exc:
-        raise TreeShareError(f"segment does not encode a valid tree: {exc}") from exc
+        raise TreeShareError(f"sections do not encode a valid tree: {exc}") from exc
 
     after = list(struct.unpack(f"<{n}I", section(T_AFTER, 4 * n)))
 

@@ -1,14 +1,15 @@
 """Disk-backed columnar document store in the XPath-accelerator style.
 
-The shared-memory segment format (:mod:`repro.trees.share`) already proved
-the representation: a tree plus its :class:`~repro.trees.index.TreeIndex`
-flattened into self-describing columnar sections — pre/post-order interval
-arrays, label-partitioned masks, and the lazy quadratic ``MaskSlab``
-families.  This module gives that representation a durable home so the
-servable corpus is no longer capped at RAM: a :class:`TreeStore` is a
-directory of one **RSTR v1** file per named tree, written atomically and
-read back through ``mmap`` so a cold tree's index views the file pages
-directly without materializing node objects or copying the payload.
+The section codec (:mod:`repro.trees.share`) flattens a tree plus its
+:class:`~repro.trees.index.TreeIndex` into self-describing columnar
+sections — pre/post-order interval arrays, label-partitioned masks, and
+the lazy quadratic ``MaskSlab`` families.  This module gives that
+representation a durable home so the servable corpus is no longer capped
+at RAM: a :class:`TreeStore` is a directory of one **RSTR v1** file per
+named tree, written atomically and read back through ``mmap`` so a cold
+tree's index views the file pages directly without materializing node
+objects or copying the payload.  It is also the only way trees reach the
+sharded service's shard processes, which attach a store read-only.
 
 File layout (all integers little-endian)::
 
@@ -18,14 +19,14 @@ File layout (all integers little-endian)::
     table     section_count × (tag u32, offset u64, length u64, crc32 u32)
     payload   the sections, at their table offsets
 
-The sections (tags, encodings, and the ``W``-byte mask width) are exactly
-RTIX v1's — produced by :func:`repro.trees.share.build_sections` and read
-back by :func:`repro.trees.share.tree_from_sections` — so the store is a
-re-framing, not a second serializer.  The framing differs deliberately:
+The sections (tags, encodings, and the ``W``-byte mask width) are
+produced by :func:`repro.trees.share.build_sections` and read back by
+:func:`repro.trees.share.tree_from_sections`; this module adds only the
+framing:
 
-* the header carries the registry **epoch** the tree was packed at, so the
-  eviction logic can tell whether the stored generation is current without
-  reading the payload;
+* the header carries the registry **epoch** the tree was packed at, so
+  the registry and the shards can tell which generation a file holds
+  without reading the payload;
 * integrity is **per section** (each table entry carries its payload's
   CRC-32, and the header CRC covers the header + table), so corruption is
   localized in error messages and every check runs *before* any mask is
@@ -175,8 +176,8 @@ def pack_bytes(index: TreeIndex, epoch: int = 0) -> bytes:
 def _validate(view: memoryview, origin: str):
     """Verify every RSTR v1 frame check; the parsed reader inputs.
 
-    Returns ``(entries, n, epoch, total)`` with ``entries`` mapping section
-    tag to ``(offset, length)``.  Every check — header fields, declared
+    Returns ``(entries, n, epoch)`` with ``entries`` mapping section tag
+    to ``(offset, length)``.  Every check — header fields, declared
     size vs. actual, table CRC, per-section bounds and CRCs — runs here,
     before any content is interpreted, so a caller that gets a return
     value holds a fully verified frame.
@@ -222,7 +223,7 @@ def _validate(view: memoryview, origin: str):
         if zlib.crc32(view[offset : offset + length]) != crc:
             raise StoreCorruptError(f"{origin}: section {tag} checksum mismatch")
         entries[tag] = (offset, length)
-    return entries, n, epoch, total
+    return entries, n, epoch
 
 
 class StoreHandle:
@@ -433,9 +434,9 @@ class TreeStore:
                 ) from exc
         view = memoryview(mapping)
         try:
-            entries, n, epoch, total = _validate(view, path.name)
+            entries, n, epoch = _validate(view, path.name)
             try:
-                tree = tree_from_sections(view, entries, n, total)
+                tree = tree_from_sections(view, entries, n)
             except TreeShareError as exc:
                 raise StoreCorruptError(f"{path.name}: {exc}") from exc
         except BaseException as exc:
@@ -475,9 +476,9 @@ class TreeStore:
         except FileNotFoundError:
             raise KeyError(name) from None
         view = memoryview(blob)
-        entries, n, epoch, total = _validate(view, path.name)
+        entries, n, epoch = _validate(view, path.name)
         try:
-            tree_from_sections(view, entries, n, total)
+            tree_from_sections(view, entries, n)
         except TreeShareError as exc:
             raise StoreCorruptError(f"{path.name}: {exc}") from exc
         return {

@@ -22,14 +22,16 @@ process.  A WAL directory holds two kinds of files:
   log suffix with ``seq`` greater than the snapshot's.
 
 **Log-ahead contract.**  :meth:`TreeRegistry.mutate
-<repro.service.api.TreeRegistry.mutate>` (and the sharded mutator) append
-the record *before* publishing the new epoch.  A crash between append and
-publish is therefore rolled **forward** on recovery — the durable history
-wins — while a failed append (``wal.append`` fault site, disk error) aborts
-the mutation with the registry untouched.  Recovery replays edits through
-:func:`~repro.trees.mutate.apply_edit_indexed` (the incremental index
-maintenance) and verifies the result two ways: every record's post-state
-digest, and — for each replayed tree — a bit-for-bit
+<repro.service.api.TreeRegistry.mutate>` and ``register`` append the
+record *before* publishing the new epoch (and before packing it, when a
+store is attached).  A crash between append and publish is therefore
+rolled **forward** on recovery — the durable history wins — while a
+failed append (``wal.append`` fault site, disk error) aborts the mutation
+with the registry untouched, and a store pack that fails after the append
+retracts the record (:meth:`WriteAheadLog.retract`).  Recovery replays
+edits through :func:`~repro.trees.mutate.apply_edit_indexed` (the
+incremental index maintenance) and verifies the result two ways: every
+record's post-state digest, and — for each replayed tree — a bit-for-bit
 :func:`~repro.trees.mutate.index_fingerprint` comparison against an index
 rebuilt from scratch.
 
@@ -171,6 +173,9 @@ class WriteAheadLog:
         self._handle = None
         self._unsynced = 0
         self._since_snapshot = 0
+        #: ``(seq, frame bytes, name, first mention)`` of the latest append,
+        #: so :meth:`retract` can undo it.
+        self._last_append = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -265,11 +270,35 @@ class WriteAheadLog:
         ):
             self.sync()
         self.last_seq = seq
-        self.known_trees.add(payload["tree"])
+        name = payload["tree"]
+        self._last_append = (seq, len(frame), name, name not in self.known_trees)
+        self.known_trees.add(name)
         self._since_snapshot += 1
         obs.counter("wal_appends_total", kind=payload["rec"]).inc()
         obs.counter("wal_bytes").inc(len(frame))
         return seq
+
+    def retract(self, seq: int) -> None:
+        """Undo the append of record ``seq``, which must be the latest.
+
+        For a logged change whose publish then failed (the registry's store
+        could not pack it): the log must not claim an epoch that was never
+        published, or recovery would replay an edit its caller saw fail.
+        A crash before the retraction rolls the record forward instead,
+        like any crash between append and publish.
+        """
+        if self._last_append is None or self._last_append[0] != seq:
+            raise ValueError(f"record {seq} is not the latest append")
+        _, length, name, first = self._last_append
+        self._last_append = None
+        self._handle.truncate(self._handle.seek(0, os.SEEK_END) - length)
+        self._handle.seek(0, os.SEEK_END)
+        os.fsync(self._handle.fileno())
+        self._unsynced = 0
+        self.last_seq = seq - 1
+        self._since_snapshot -= 1
+        if first:
+            self.known_trees.discard(name)
 
     def sync(self) -> None:
         """Force the log to stable storage (records fsync latency)."""
@@ -317,6 +346,7 @@ class WriteAheadLog:
             os.fsync(handle.fileno())
         os.replace(tmp, final)
         self._since_snapshot = 0
+        self._last_append = None  # covered by the snapshot: not retractable
         obs.counter("wal_snapshots_total").inc()
         self._prune_snapshots()
         return final

@@ -163,6 +163,12 @@ class TestErrorPathsAndGovernance:
         err = self._stderr_is_single_diagnostic(capsys)
         assert "injected fault" in err
 
+    def test_unknown_fault_site_is_a_usage_error(self, doc_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "a", doc_file, "--inject-fault", "xpath.sets"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_injected_fault_does_not_leak_between_runs(self, doc_file):
         assert main(["eval", "a", doc_file, "--inject-fault", "xpath.bitset"]) == 8
         assert main(["eval", "a", doc_file]) == 0  # disarmed on exit

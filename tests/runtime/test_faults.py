@@ -62,6 +62,27 @@ class TestFaultRegistry:
         faults.reload_from_env("")
         assert faults.armed_sites() == {}
 
+    def test_reload_from_env_rejects_unknown_sites(self):
+        # A misspelt or removed site must fail the run, not arm nothing;
+        # a bad entry anywhere in the spec arms none of it.
+        with pytest.raises(ValueError, match="unknown fault site 'xpath.sets'"):
+            faults.reload_from_env("xpath.bitset, xpath.sets:2")
+        assert faults.armed_sites() == {}
+
+    def test_sites_is_exactly_the_checked_sites(self):
+        import re
+        from pathlib import Path
+
+        package = Path(faults.__file__).resolve().parents[1]
+        checked = {
+            match
+            for path in package.rglob("*.py")
+            for match in re.findall(r'faults\.check\("([^"]+)"\)', path.read_text())
+        }
+        assert sorted(faults.SITES) == sorted(checked)
+        for site in faults.SITES:
+            assert f"``{site}``" in faults.__doc__
+
 
 class TestScoped:
     """``faults.scoped`` snapshots the registry and restores it exactly."""

@@ -128,15 +128,18 @@ class TestMinEpoch:
             assert stale.status == "error"
             assert stale.error["type"] == "StaleEpochError"
             assert stale.exit_code == 8  # retryable, by the engine contract
+            # Without a store there is nothing to refresh from: the stale
+            # floor must not have dropped the only copy.
+            assert _eval(svc).status == "ok"
 
     def test_min_epoch_validation(self):
         with pytest.raises(ValueError, match="min_epoch"):
             QueryRequest(op="eval", query="b", tree="doc", min_epoch=-1).validate()
 
     def test_stamped_read_on_missing_tree_is_stale_not_unknown(self):
-        # A replica that never attached the tree (e.g. a shard whose
-        # re-share broadcast was dropped) must answer a stamped read with
-        # the healable staleness signal, not an "unknown tree" dead end.
+        # A positive floor means the epoch was published somewhere: a
+        # replica that cannot find the tree answers with the retryable
+        # staleness signal, not an "unknown tree" dead end.
         registry = make_registry()
         with QueryService(registry, workers=1) as svc:
             plain = _eval(svc, tree="ghost")

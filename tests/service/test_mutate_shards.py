@@ -1,11 +1,11 @@
 """Live documents across the shard pool: mutate end-to-end, epoch-stamped
-reads, and the reshare-fault → stale → heal cycle."""
+reads that refresh a shard's copy from the store, and a store-load fault on
+that refresh retried away."""
 
 from __future__ import annotations
 
 import os
 
-from repro import obs
 from repro.runtime import faults
 from repro.service import (
     QueryRequest,
@@ -46,7 +46,7 @@ class TestShardedMutate:
             assert result.status == "ok"
             assert result.routed == "mutate"
             assert result.value == {"tree": "doc", "epoch": 2, "kind": "insert", "size": 4}
-            # The re-shared segment serves the post-edit answer from shards.
+            # The shard refreshes from the store and serves the post-edit answer.
             after = _eval(svc)
             assert after.status == "ok"
             assert after.value == [1, 2]
@@ -88,27 +88,26 @@ class TestShardedMutate:
             assert fresh.routed != "cache"
             assert fresh.value == []
 
-    def test_reshare_fault_heals_via_stale_retry(self):
+    def test_store_load_fault_on_refresh_is_retried(self):
         registry = make_registry()
         with ShardedQueryService(
             registry, shards=2, start_method=START_METHOD
         ) as svc:
-            # Drop EVERY shard's broadcast: the mutation still succeeds
-            # (re-sharing is best-effort per shard), but both shards are
-            # now one epoch behind the published registry.
-            with faults.scoped(("service.reshare", 2)):
-                result = _mutate(
-                    svc, {"kind": "insert", "parent": 0, "index": 0, "xml": "<b/>"}
-                )
+            assert _eval(svc).value == [1]  # the shard now holds epoch 1
+            result = _mutate(
+                svc, {"kind": "insert", "parent": 0, "index": 0, "xml": "<b/>"}
+            )
             assert result.status == "ok"
-            assert obs.counter("tree_reshare_total", event="fault").value == 2
-            # The next stamped read finds its shard stale, the parent
-            # re-shares the current segment and re-dispatches, and the
-            # caller sees the fresh answer — never the stale one.
+            # The next read is stamped with epoch 2, so its shard drops its
+            # copy and reloads from the store — and that load fails once.
+            assert svc.arm_faults("store.load", times=1) == {0: True, 1: True}
             read = _eval(svc)
             assert read.status == "ok"
-            assert read.value == [1, 2]
-            assert obs.counter("tree_reshare_total", event="heal").value >= 1
+            assert read.value == [1, 2]  # the post-edit answer, never stale
+            assert read.retries == 1
+            snapshot = svc.stats_snapshot()
+            assert snapshot["completed"] == snapshot["submitted"] == 3
+            assert snapshot["errors"] == 0
 
     def test_mutate_fault_in_parent_is_retried(self):
         registry = make_registry()

@@ -11,8 +11,8 @@ The acceptance contract (threaded and sharded variants):
 * **zero stale-beyond-epoch** — that epoch lies inside the request's
   observation window: at least the epoch published when it was submitted
   (no going back in time), at most one past the epoch published when it
-  resolved (the broadcast-before-publish handover means a shard can serve
-  an epoch the parent is nanoseconds from publishing);
+  resolved (the pack-before-publish handover means a shard can load an
+  epoch the parent is nanoseconds from publishing);
 * **write history reconciles** — the ``ok`` mutations' epochs are exactly
   contiguous (each published one epoch, none lost, none doubled), and the
   registry's final tree equals the structural fold of those edits in epoch
@@ -20,8 +20,9 @@ The acceptance contract (threaded and sharded variants):
   incremental path, so the soak cross-checks delta maintenance end to end;
 * faults burst *mid-mutation*: ``trees.mutate`` (writer retries),
   ``service.worker`` / ``xpath.bitset`` (reader retries + degradation),
-  and — sharded — ``service.reshare`` (dropped re-share broadcasts that
-  must heal through the stale-epoch retry path).
+  and — sharded — shard-side ``store.load`` (a shard's refresh of a
+  mutated tree fails for a moment and must be retried, never served
+  stale).
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def _run_soak(make_service, *, sharded: bool) -> None:
                 faults.arm("service.worker", times=8)
                 faults.arm("xpath.bitset", times=12)
                 if sharded:
-                    faults.arm("service.reshare", times=2)
+                    service.arm_faults("store.load", times=2)
             if i == 2 * total // 3:
                 faults.arm("trees.mutate", times=1)
                 if sharded:
-                    faults.arm("service.reshare", times=1)
+                    service.arm_faults("store.load", times=1)
             rid = f"mix-{i}"
             if i % 4 == 3:
                 edit = _EDITS[(i // 4) % len(_EDITS)]

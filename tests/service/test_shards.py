@@ -14,7 +14,8 @@ promises:
   :class:`~repro.runtime.errors.ShardCrashedError` results and the other
   shards keep serving;
 * no child process survives :meth:`close` (the orphan regression), the
-  ``KeyboardInterrupt`` context-manager path included;
+  ``KeyboardInterrupt`` context-manager path included, and the scratch
+  store a registry without its own store is served from is removed;
 * the ``spawn`` start method works (nothing relies on fork inheritance).
 """
 
@@ -131,6 +132,19 @@ class TestCorrectness:
             ).result(timeout=10)
         assert result.status == "ok"
         assert result.value == [0]  # the root has a b-child
+
+    @pytest.mark.parametrize("service_cls", [QueryService, ShardedQueryService])
+    def test_unknown_tree_is_an_input_error_in_both_tiers(self, service_cls):
+        # Not retryable staleness: the sharded parent stamps min_epoch=0 for
+        # a name it never published, and a floor of 0 demands nothing.
+        with service_cls(make_registry()) as service:
+            result = service.submit(
+                QueryRequest(op="eval", query="<child[b]>", tree="ghost")
+            ).result(timeout=10)
+        assert result.status == "error"
+        assert result.error["type"] == "ValueError"
+        assert "unknown tree 'ghost'" in result.error["message"]
+        assert result.exit_code == 2
 
     def test_deadline_crosses_the_pipe(self):
         # A zero timeout must come back shed/timed out, not hang.
@@ -284,16 +298,27 @@ class TestLifecycle:
         with pytest.raises(ServiceClosedError):
             service.submit(QueryRequest(op="eval", query="<a>", tree="talk"))
 
-    def test_segments_unlinked_after_shutdown(self):
-        from multiprocessing import shared_memory
+    def test_scratch_root_falls_back_to_the_temp_dir(self, monkeypatch):
+        import tempfile
 
-        service = ShardedQueryService(make_registry(), shards=1)
-        names = [shm.name for shm, _ in service._segments.values()]
-        assert names
-        service.shutdown(drain=True)
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        from repro.service import shards
+
+        assert shards._scratch_root() in ("/dev/shm", tempfile.gettempdir())
+        monkeypatch.setattr(shards.os.path, "isdir", lambda path: False)
+        assert shards._scratch_root() == tempfile.gettempdir()
+
+    def test_scratch_store_removed_after_shutdown_and_close(self):
+        for stop in ("shutdown", "close"):
+            registry = make_registry()
+            service = ShardedQueryService(registry, shards=1)
+            scratch = registry.store.directory
+            assert scratch.name.startswith("repro-shards-")
+            assert sorted(registry.store.names()) == ["chain", "talk"]
+            getattr(service, stop)()
+            assert not scratch.exists(), stop
+            # The registry keeps serving from memory, store detached.
+            assert registry.store is None
+            assert registry.get("talk").labels[0] == "talk"
 
 
 class TestSpawnStartMethod:

@@ -9,8 +9,9 @@ Covers the races the LRU tier must survive:
 * ``evict`` refuses a pinned tree; an evict *between* a load and the
   query re-loads transparently; epochs survive eviction so the result
   cache's freshness guard holds across an evict/reload cycle;
-* mutations write through to the store (stored epoch == published epoch)
-  and shards in store mode heal from ``drop`` invalidations.
+* every generation is packed before its epoch is published (stored epoch
+  == published epoch; a failed pack publishes nothing), and shards catch
+  up by refreshing from the store on stamped reads.
 """
 
 from __future__ import annotations
@@ -204,6 +205,38 @@ class TestWriteThrough:
         registry.evict(name)
         assert registry.get(name).labels[0] == "z"
 
+    def test_failed_pack_aborts_mutation_untouched(self, monkeypatch):
+        registry, store = make_registry()
+        name = registry.resident_names()[0]
+        tree, epoch = registry.snapshot(name)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store, "pack", full_disk)
+        with QueryService(registry, workers=1) as svc:
+            result = svc.run_batch(
+                [
+                    QueryRequest(
+                        op="mutate",
+                        tree=name,
+                        edit={"kind": "relabel", "node": 0, "label": "z"},
+                    )
+                ]
+            )[0]
+        assert result.status == "error"
+        assert result.exit_code == 3
+        # Pack comes before publish: nothing moved anywhere.
+        assert registry.epoch(name) == epoch
+        assert registry.get(name) is tree
+        assert store.epoch(name) == epoch
+        assert store.load(name)[0] == tree
+        # Registrations follow the same rule.
+        with pytest.raises(OSError):
+            registry.register("fresh", parse_xml("<a/>"))
+        assert registry.epoch("fresh") == 0
+        assert "fresh" not in registry.names()
+
     def test_refresh_drops_stale_resident(self):
         registry, _ = make_registry()
         name = registry.resident_names()[0]
@@ -324,6 +357,67 @@ class TestShardedStoreMode:
                 assert result.value == [1, 2]
         finally:
             svc.shutdown()
+
+
+class TestScratchStoreLifecycle:
+    def test_detach_store_reloads_cold_trees(self):
+        registry, store = make_registry()
+        cold = sorted(set(DOCS) - set(registry.resident_names()))
+        assert cold
+        epochs = {name: registry.epoch(name) for name in DOCS}
+        assert registry.detach_store() is store
+        assert registry.store is None
+        assert sorted(registry.resident_names()) == sorted(DOCS)
+        assert {name: registry.epoch(name) for name in DOCS} == epochs
+        assert registry.detach_store() is None
+
+    def test_sharded_service_refuses_a_read_only_store(self):
+        registry, store = make_registry()
+        replica = TreeRegistry()
+        replica.attach_store(TreeStore(store.directory), readonly=True)
+        with pytest.raises(ValueError, match="read-only"):
+            ShardedQueryService(replica, shards=1, start_method=START_METHOD)
+
+
+class TestStampedRefresh:
+    def test_stamped_reads_never_stale_under_concurrent_mutation(self):
+        # A shard in miniature: a read-only registry over the store a
+        # writable registry mutates.  Every read carries the writer's epoch
+        # at submit time, as the sharded parent stamps it; more workers
+        # than cores race each other's refreshes and the writer's packs.
+        # Pack-before-publish plus one refresh per stale pin must make
+        # every read fresh enough — a lost refresh shows as StaleEpochError.
+        import sys
+
+        writer, store = make_registry()
+        shard = TreeRegistry()
+        shard.attach_store(TreeStore(store.directory), readonly=True)
+        name = sorted(DOCS)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(
+                shard, workers=6, retry=RetryPolicy(max_attempts=1)
+            ) as svc:
+                handles = []
+                for i in range(40):
+                    writer.mutate(
+                        name, {"kind": "relabel", "node": 0, "label": "xyz"[i % 3]}
+                    )
+                    stamp = writer.epoch(name)
+                    handles.extend(
+                        svc.submit(
+                            QueryRequest(
+                                op="eval", query="x", tree=name, min_epoch=stamp
+                            )
+                        )
+                        for _ in range(3)
+                    )
+                results = [handle.result(timeout=30) for handle in handles]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.error for r in results if r.status != "ok"] == []
+        assert shard.epoch(name) <= writer.epoch(name) == 41
 
 
 class TestHandleHygiene:

@@ -107,11 +107,11 @@ def _run_soak(tmp_path, make_service, *, sharded: bool, total: int) -> None:
             for i in range(chunk_start, min(chunk_start + 25, total)):
                 if i == total // 3 or i == 2 * total // 3:
                     # Chaos mid-run: cold loads fail transiently, workers
-                    # fault, and (sharded) a drop broadcast goes missing.
+                    # fault, and (sharded) a shard's load or refresh fails.
                     faults.arm("store.load", times=3)
                     faults.arm("service.worker", times=4)
                     if sharded:
-                        faults.arm("service.reshare", times=1)
+                        service.arm_faults("store.load", times=1)
                 rid = f"mix-{i}"
                 if i % 5 == 4:
                     live = LIVE[i % len(LIVE)]

@@ -4,10 +4,10 @@ terminal degradation, and fault re-arming.
 Companion to ``tests/service/test_shards.py`` (the unsupervised tier, where
 a dead shard's requests resolve as ``ShardCrashedError``).  Everything here
 runs with ``max_restarts`` set, which changes the contract: a SIGKILLed
-shard is respawned with full state resync, its in-flight requests are
-re-dispatched (no caller-visible crash), and only an exhausted restart
-budget degrades to the structured :class:`ShardUnavailableError` (exit
-code 10).
+shard is respawned with its fault arms re-delivered, its in-flight
+requests are re-dispatched (no caller-visible crash), and only an
+exhausted restart budget degrades to the structured
+:class:`ShardUnavailableError` (exit code 10).
 """
 
 from __future__ import annotations
@@ -120,19 +120,24 @@ def test_killed_shard_respawns_and_serves_again(registry):
         assert all(r.value == [0, 2] for r in results)
         assert service.restart_counts[shard] == 1
         assert obs.REGISTRY.total("shard_restarts_total") - before == 1
-        # The replacement holds the re-shared segments: a fresh mutation
-        # round-trips through it too.
+        # The replacement reads the store like any shard: a fresh mutation
+        # round-trips through it too.  The read waits for the mutation's
+        # result — sent alongside it, its floor of epoch 2 could outrun the
+        # publish and fail as retryable staleness, in either tier.
         mutated = service.run_batch(
             [
                 QueryRequest(
                     op="mutate",
                     tree="doc",
                     edit={"kind": "relabel", "node": 1, "label": "z"},
-                ),
-                QueryRequest(op="eval", query="<child[z]>", tree="doc", min_epoch=2),
+                )
             ]
         )
-        assert [r.status for r in mutated] == ["ok", "ok"]
+        assert mutated[0].status == "ok" and mutated[0].value["epoch"] == 2
+        fresh = service.run_batch(
+            [QueryRequest(op="eval", query="<child[z]>", tree="doc", min_epoch=2)]
+        )
+        assert fresh[0].status == "ok" and fresh[0].value == [0]
     finally:
         service.shutdown()
     # Counts are stable across shutdown (the supervisor stops first).
@@ -230,7 +235,7 @@ def test_arm_faults_reports_dead_shard_and_respawn_rearms(registry):
 
         # The respawned shard inherited the tracked arm: the fault fires
         # on its fast path (degrading the answer to the oracle fallback),
-        # proving state resync covers fault injection.
+        # proving respawn re-delivers fault injection.
         request = QueryRequest(op="eval", query="<descendant[b]>", tree="doc")
         result = service.submit(request).result(timeout=60.0)
         assert result.status == "ok"

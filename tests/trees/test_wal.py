@@ -12,7 +12,9 @@ The durability contract under test:
   oracle fold of the logged edits — same epochs, and per-tree
   ``index_fingerprint`` identical to a from-scratch rebuild;
 * **log-ahead atomicity**: a failed append (the ``wal.append`` fault site)
-  aborts the mutation with both the registry and the log untouched;
+  aborts the mutation with both the registry and the log untouched, and
+  so does a store pack that fails after the append (the record is
+  retracted);
 * **snapshots are an optimization**: they bound replay, prune to the
   latest two, and a tampered snapshot falls back to older history.
 """
@@ -287,6 +289,49 @@ def test_failed_append_aborts_registration(tmp_path):
             registry.register("doc", Tree.leaf("a"))
     assert registry.names() == []
     assert wal.last_seq == 0
+    wal.close()
+
+
+@pytest.mark.parametrize("policy", ["always", 64])
+def test_failed_pack_retracts_the_logged_record(tmp_path, monkeypatch, policy):
+    # With a store attached, the record is appended before the pack: a
+    # failed pack must take it back out, or recovery would replay an edit
+    # (or registration) whose caller saw it fail.
+    from repro.trees import TreeStore
+
+    registry, wal = _registry_with_wal(tmp_path, fsync=policy)
+    store = TreeStore(tmp_path / "store")
+    registry.attach_store(store)
+    registry.register("doc", parse_xml("<a><b/></a>"))
+    log_before = wal.path.read_bytes()
+    real_pack = store.pack
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(store, "pack", full_disk)
+    with pytest.raises(OSError):
+        registry.mutate("doc", Relabel(1, "z"))
+    with pytest.raises(OSError):
+        registry.register("other", Tree.leaf("a"))
+    assert registry.epoch("doc") == 1
+    assert wal.path.read_bytes() == log_before
+    assert wal.last_seq == 1
+    assert "other" not in wal.known_trees
+    monkeypatch.setattr(store, "pack", real_pack)
+    # The next mutation takes the freed epoch and sequence number.
+    registry.mutate("doc", Relabel(1, "y"))
+    assert registry.epoch("doc") == 2 and wal.last_seq == 2
+    wal.close()
+    assert_recovered_matches(recover(tmp_path / "wal"), registry)
+
+
+def test_retract_only_undoes_the_latest_append(tmp_path):
+    registry, wal = _registry_with_wal(tmp_path)
+    registry.register("doc", parse_xml("<a><b/></a>"))
+    registry.mutate("doc", Relabel(1, "z"))
+    with pytest.raises(ValueError, match="latest"):
+        wal.retract(1)
     wal.close()
 
 
