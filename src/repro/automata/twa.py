@@ -127,7 +127,16 @@ def observation_masks(index: TreeIndex, sc: Scope):
     last); the scope root is matched separately against its one concrete
     observation, since its root/first/last flags are scope-dependent.
     """
-    root_obs = observation_at(index.tree, sc.root, sc.root)
+    root = sc.root
+    # observation_at(tree, root, root), read off the index: the scope root
+    # is root, first and last; it is a leaf iff its interval is [root, root + 1).
+    root_obs = Observation(
+        label=index.labels[root],
+        is_root=True,
+        is_leaf=index.after[root] == root + 1,
+        is_first=True,
+        is_last=True,
+    )
     nonroot = sc.mask & ~sc.root_bit
     full = index.full
 

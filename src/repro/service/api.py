@@ -452,13 +452,15 @@ class TreeRegistry:
             published = advanced = False
             try:
                 try:
-                    tree, epoch = store.load(name)
+                    # Not ``tree``: a stale load that is not published must
+                    # not be freed by the rebinding under the lock above.
+                    loaded, epoch = store.load(name)
                 except KeyError:
                     raise ValueError(
                         f"unknown tree {name!r}; registered: "
                         f"{self.names() or '(none)'}"
                     ) from None
-                cost = index_nbytes(tree_index(tree))
+                cost = index_nbytes(tree_index(loaded))
                 with self._lock:
                     # Publish only a generation at least as new as the one
                     # the registry already knows (epochs survive eviction
@@ -471,7 +473,7 @@ class TreeRegistry:
                     known = self._epochs.get(name, 0)
                     if name not in self._trees and epoch >= known:
                         advanced = epoch > known
-                        self._trees[name] = tree
+                        self._trees[name] = loaded
                         self._epochs[name] = epoch
                         self._lru[name] = cost
                         self._resident_bytes += cost
@@ -499,7 +501,7 @@ class TreeRegistry:
                     self._notify(name)
                 else:
                     self._evict_over_budget()
-                return tree, epoch
+                return loaded, epoch
 
     def _account(self, name: str, tree: Tree, cost: int) -> None:
         """Re-price ``name`` after a (re)registration published ``tree``."""
@@ -516,7 +518,10 @@ class TreeRegistry:
 
         Only the registry's reference is dropped — the epoch survives (the
         stored generation carries it) and the tree object itself stays
-        valid for any reader still holding it.
+        valid for any reader still holding it.  The caller must hold its
+        own reference to the tree until it has released ``_lock``: trees
+        are freed by reference counting, and freeing a generation (index,
+        plans, store mapping) must not stall every pin and lookup.
         """
         del self._trees[name]
         cost = self._lru.pop(name, 0)
@@ -540,6 +545,7 @@ class TreeRegistry:
             return
         skip: set[str] = set()
         while True:
+            tree = None  # the last victim's last reference goes here, unlocked
             with self._lock:
                 if self._resident_bytes <= budget:
                     return
@@ -614,12 +620,15 @@ class TreeRegistry:
         to reload) and for cold or already-current names.
         """
         with self._lock:
+            dropped = self._trees.get(name)
             if (
-                self._store is not None
-                and name in self._trees
+                dropped is not None
+                and self._store is not None
                 and self._epochs.get(name, 0) < epoch
             ):
                 self._drop_resident(name)
+        # ``dropped`` holds the old generation until after the lock is
+        # released, so freeing it never happens under the lock.
 
     def _unpin(self, name: str) -> None:
         with self._lock:
@@ -665,15 +674,20 @@ class TreeRegistry:
             seq = None
             if self._wal is not None:
                 seq = self._wal.append_register(name, epoch, tree)
-            self._publish(name, tree, epoch, seq)
+            replaced = self._publish(name, tree, epoch, seq)
         self._notify(name)
+        del replaced  # freed here, outside both locks
         return epoch
 
-    def _publish(self, name: str, tree: Tree, epoch: int, seq: int | None) -> None:
+    def _publish(
+        self, name: str, tree: Tree, epoch: int, seq: int | None
+    ) -> Tree | None:
         """Pack, then make ``(tree, epoch)`` current (mutation lock held).
 
         ``seq`` is the WAL record logged for this publish; a failed pack
         retracts it, so the log stays untouched like the registry.
+        Returns the replaced resident (or ``None``) for the caller to drop
+        once it holds no lock.
         """
         store = self._store
         if store is not None and not self._store_readonly:
@@ -684,12 +698,14 @@ class TreeRegistry:
                     self._wal.retract(seq)
                 raise
         with self._lock:
+            replaced = self._trees.get(name)
             self._trees[name] = tree
             self._epochs[name] = epoch
         if self._wal is not None:
             self._wal.maybe_snapshot(self._wal_state)
         if store is not None:
             self._account(name, tree, index_nbytes(tree_index(tree)))
+        return replaced
 
     def _notify(self, name: str) -> None:
         """Run listeners and the budget sweep after a publish.

@@ -37,10 +37,12 @@ special case ``scope root = 0``.
 
 from __future__ import annotations
 
+from types import MethodType
+
 from .axes import Axis
 from .tree import Tree
 
-__all__ = ["Scope", "TreeIndex", "tree_index"]
+__all__ = ["AXIS_KERNELS", "Scope", "TreeIndex", "tree_index"]
 
 
 class Scope:
@@ -65,10 +67,16 @@ class TreeIndex:
     Also owns the compiled-plan caches (filled by
     :mod:`repro.xpath.engine.plan`), so plans are shared by every evaluator
     and every query on the same tree.
+
+    The index keeps the tree's immutable ``labels``, ``parent`` (as
+    ``parents``; ``parent`` is the axis kernel) and ``next_sibling``
+    tuples, never the :class:`Tree` itself: the tree holds its index, and
+    nothing the index holds — tables, scopes, cached plans — refers back to
+    either, so a generation is freed by reference counting as soon as its
+    last holder lets go.
     """
 
     def __init__(self, tree: Tree):
-        self.tree = tree
         n = tree.size
         self.n = n
 
@@ -135,7 +143,7 @@ class TreeIndex:
                 last_groups[c - v] = last_groups.get(c - v, 0) | (1 << v)
         self.last_child_groups = sorted(last_groups.items())
 
-        self._finalize()
+        self._finalize(tree)
 
     @classmethod
     def _from_parts(
@@ -164,7 +172,6 @@ class TreeIndex:
         what the kernels use.
         """
         index = object.__new__(cls)
-        index.tree = tree
         index.n = tree.size
         index.prefix = prefix
         index.full = prefix[tree.size]
@@ -178,11 +185,14 @@ class TreeIndex:
         index.first_mask = first_mask
         index.last_mask = last_mask
         index.last_child_groups = last_child_groups
-        index._finalize()
+        index._finalize(tree)
         return index
 
-    def _finalize(self) -> None:
-        """Shared tail of both constructors: lazy tables, caches, kernels."""
+    def _finalize(self, tree: Tree) -> None:
+        """Shared tail of both constructors: tree columns, lazy tables, caches."""
+        self.labels = tree.labels
+        self.parents = tree.parent
+        self.next_sibling = tree.next_sibling
         self._after_leq: list[int] | None = None  # lazy, for `preceding`
         self._scopes: dict[int, Scope] = {}
         self._relation_masks: dict[str, dict[int, int]] = {}
@@ -191,22 +201,6 @@ class TreeIndex:
         # (AST nodes are frozen dataclasses).  Filled by engine.plan.
         self.path_plans: dict = {}
         self.node_plans: dict = {}
-
-        self._kernels = {
-            Axis.SELF: self.self_,
-            Axis.CHILD: self.child,
-            Axis.PARENT: self.parent,
-            Axis.RIGHT: self.right,
-            Axis.LEFT: self.left,
-            Axis.DESCENDANT: self.descendant,
-            Axis.ANCESTOR: self.ancestor,
-            Axis.DESCENDANT_OR_SELF: self.descendant_or_self,
-            Axis.ANCESTOR_OR_SELF: self.ancestor_or_self,
-            Axis.FOLLOWING_SIBLING: self.following_sibling,
-            Axis.PRECEDING_SIBLING: self.preceding_sibling,
-            Axis.FOLLOWING: self.following,
-            Axis.PRECEDING: self.preceding,
-        }
 
     # -- scopes -----------------------------------------------------------
 
@@ -222,8 +216,12 @@ class TreeIndex:
         return sc
 
     def kernel(self, axis: Axis):
-        """The ``(mask, scope) -> mask`` kernel for ``axis``."""
-        return self._kernels[axis]
+        """The ``(mask, scope) -> mask`` kernel for ``axis``, bound here.
+
+        Bound per call and never stored on the index; see
+        :data:`AXIS_KERNELS` for what cached plans capture instead.
+        """
+        return MethodType(AXIS_KERNELS[axis], self)
 
     # -- one-step kernels (grouped shift-and-mask) ------------------------
 
@@ -335,7 +333,7 @@ class TreeIndex:
         # siblings are the block members with larger preorder id.
         S &= ~sc.root_bit
         acc = 0
-        parent = self.tree.parent
+        parent = self.parents
         children_of = self.children_of
         prefix = self.prefix
         rem = S
@@ -349,7 +347,7 @@ class TreeIndex:
     def preceding_sibling(self, S: int, sc: Scope) -> int:
         S &= ~sc.root_bit
         acc = 0
-        parent = self.tree.parent
+        parent = self.parents
         children_of = self.children_of
         prefix = self.prefix
         rem = S
@@ -372,7 +370,6 @@ class TreeIndex:
         masks = self._relation_masks.get(name)
         if masks is not None:
             return masks
-        tree = self.tree
         n = self.n
         masks = {}
         if name == "child":
@@ -381,7 +378,7 @@ class TreeIndex:
                     masks[v] = self.children_of[v]
         elif name == "right":
             for v in range(n):
-                w = tree.next_sibling[v]
+                w = self.next_sibling[v]
                 if w >= 0:
                     masks[v] = 1 << w
         elif name == "descendant":
@@ -392,9 +389,9 @@ class TreeIndex:
                     masks[v] = m
         elif name == "following_sibling":
             prefix = self.prefix
-            parent = tree.parent
+            parent = self.parents
             for v in range(n):
-                if tree.next_sibling[v] >= 0:
+                if self.next_sibling[v] >= 0:
                     masks[v] = self.children_of[parent[v]] & ~prefix[v + 1]
         else:
             raise ValueError(f"unknown relation {name!r}")
@@ -416,6 +413,28 @@ class TreeIndex:
                 table.append(acc)
             self._after_leq = table
         return self._after_leq[m]
+
+
+#: The unbound ``(index, mask, scope) -> mask`` kernel of each axis.
+#: Compiled plans capture these and take the index from their evaluator at
+#: call time: a plan cached on an index that captured the index's bound
+#: methods would make every index (and its tree) cyclic garbage, which
+#: only the cyclic collector frees.
+AXIS_KERNELS = {
+    Axis.SELF: TreeIndex.self_,
+    Axis.CHILD: TreeIndex.child,
+    Axis.PARENT: TreeIndex.parent,
+    Axis.RIGHT: TreeIndex.right,
+    Axis.LEFT: TreeIndex.left,
+    Axis.DESCENDANT: TreeIndex.descendant,
+    Axis.ANCESTOR: TreeIndex.ancestor,
+    Axis.DESCENDANT_OR_SELF: TreeIndex.descendant_or_self,
+    Axis.ANCESTOR_OR_SELF: TreeIndex.ancestor_or_self,
+    Axis.FOLLOWING_SIBLING: TreeIndex.following_sibling,
+    Axis.PRECEDING_SIBLING: TreeIndex.preceding_sibling,
+    Axis.FOLLOWING: TreeIndex.following,
+    Axis.PRECEDING: TreeIndex.preceding,
+}
 
 
 def tree_index(tree: Tree) -> TreeIndex:

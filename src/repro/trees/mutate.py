@@ -4,12 +4,19 @@ Every engine in the repro evaluates against a frozen :class:`Tree` plus its
 :class:`~repro.trees.index.TreeIndex`.  This module makes documents *live*
 without giving that up: an edit produces a **new** tree (copy-on-write — the
 old tree, its index, and every compiled plan cached on it stay valid for
-readers pinned to the old snapshot) whose index is **maintained
-incrementally** instead of rebuilt from scratch.
+readers pinned to the old snapshot) whose arrays and index are both
+**spliced** from the old generation's instead of derived from scratch.
 
-The preorder-interval representation is what makes the delta cheap.  A
+The preorder-interval representation is what makes the splice cheap.  A
 subtree edit touches exactly one contiguous id range ``[pos, pos + k)``:
 
+* the tree's arrays keep every id below ``pos`` (only the ancestor chain
+  of the edit parent and the edit site's siblings are patched there), take
+  the inserted subtree's arrays offset by ``pos``, and shift the suffix by
+  ``±k``; a relabel copies the label column and shares every other tuple;
+* below the splice point the index's per-node tables (``after``,
+  ``children_of``) change only on the ancestor chain, and past it every
+  entry shifts whole;
 * every big-int node-set mask updates by a **shift + splice** —
   ``(m & low) | ((m & ~low) << k)`` on insert and
   ``(m & low) | ((m >> k) & ~low)`` on delete, with ``low = prefix[pos]``
@@ -24,9 +31,12 @@ subtree edit touches exactly one contiguous id range ``[pos, pos + k)``:
   its offset, a node above with parent below grows/shrinks by ``k``, and
   both cases are contiguous sub-intervals of each group.
 
-Full reindex-from-scratch (``TreeIndex(tree)``) is the correctness oracle:
-the property suite in ``tests/trees/test_mutate.py`` asserts bit-exact
-equality (:func:`index_fingerprint`) after random edit scripts.
+The from-scratch builds are the correctness oracles — ``Tree(labels,
+parent)`` for the arrays and ``TreeIndex(tree)`` for the index: the
+property suite in ``tests/trees/test_mutate.py`` asserts bit-exact
+equality (:func:`tree_fingerprint`, :func:`index_fingerprint`) after random
+edit scripts, and :func:`apply_edit` is the structural oracle that
+builds the edited tree only through ``Tree(labels, parents)``.
 
 Edits round-trip through JSON (:func:`edit_from_json` /
 :func:`edit_to_json`), which is how the service tier's ``mutate`` requests
@@ -51,6 +61,7 @@ __all__ = [
     "edit_from_json",
     "edit_to_json",
     "index_fingerprint",
+    "tree_fingerprint",
 ]
 
 
@@ -96,6 +107,18 @@ def _check_node(tree: Tree, node: int, role: str) -> None:
         )
 
 
+def _check_relabel(tree: Tree, edit: Relabel) -> None:
+    _check_node(tree, edit.node, "relabel node")
+    if not isinstance(edit.label, str) or not edit.label:
+        raise ValueError(f"relabel label must be a non-empty string, got {edit.label!r}")
+
+
+def _check_delete(tree: Tree, edit: DeleteSubtree) -> None:
+    _check_node(tree, edit.node, "delete node")
+    if edit.node == 0:
+        raise ValueError("cannot delete the root")
+
+
 def _insert_position(tree: Tree, edit: InsertSubtree) -> int:
     """The preorder id the inserted subtree's root will take."""
     _check_node(tree, edit.parent, "insert parent")
@@ -122,21 +145,21 @@ def apply_edit(tree: Tree, edit) -> Tree:
 
     The input tree is never touched (trees are immutable); this is the
     copy-on-write snapshot boundary.  The returned tree has **no** index
-    attached — use :func:`apply_edit_indexed` on the hot path.
+    attached — use :func:`apply_edit_indexed` on the hot path.  This is
+    the from-scratch structural oracle of the splice: it edits only the
+    label and parent arrays and lets ``Tree(labels, parents)`` derive and
+    check the rest, sharing nothing with :func:`apply_edit_indexed` but
+    argument validation.
     """
     if isinstance(edit, Relabel):
-        _check_node(tree, edit.node, "relabel node")
-        if not isinstance(edit.label, str) or not edit.label:
-            raise ValueError(f"relabel label must be a non-empty string, got {edit.label!r}")
+        _check_relabel(tree, edit)
         labels = list(tree.labels)
         labels[edit.node] = edit.label
         return Tree(labels, tree.parent)
     if isinstance(edit, InsertSubtree):
-        labels, parents, _, _ = _insert_arrays(tree, edit)
-        return Tree(labels, parents)
+        return Tree(*_insert_arrays(tree, edit))
     if isinstance(edit, DeleteSubtree):
-        labels, parents, _, _ = _delete_arrays(tree, edit)
-        return Tree(labels, parents)
+        return Tree(*_delete_arrays(tree, edit))
     raise ValueError(f"unknown edit {edit!r}")
 
 
@@ -159,13 +182,11 @@ def _insert_arrays(tree: Tree, edit: InsertSubtree):
     for i in range(pos, tree.size):
         p = tree.parent[i]
         parents.append(p + k if p >= pos else p)
-    return labels, parents, pos, k
+    return labels, parents
 
 
 def _delete_arrays(tree: Tree, edit: DeleteSubtree):
-    _check_node(tree, edit.node, "delete node")
-    if edit.node == 0:
-        raise ValueError("cannot delete the root")
+    _check_delete(tree, edit)
     x = edit.node
     k = tree.subtree_sizes[x]
     labels = list(tree.labels[:x]) + list(tree.labels[x + k :])
@@ -175,19 +196,20 @@ def _delete_arrays(tree: Tree, edit: DeleteSubtree):
         # Survivors never have a parent inside the deleted interval: such a
         # parent would make them descendants of x, hence deleted themselves.
         parents.append(p - k if p >= x + k else p)
-    return labels, parents, x, k
+    return labels, parents
 
 
-# -- incremental index maintenance -------------------------------------------
+# -- incremental maintenance (the splice) -------------------------------------
 
 
 def apply_edit_indexed(tree: Tree, edit) -> Tree:
-    """Apply one edit and maintain the :class:`TreeIndex` incrementally.
+    """Apply one edit by splicing the old generation's arrays and index.
 
-    Returns a new tree whose cached index was assembled from the old one
-    by shift + splice + chain repair (see module docstring) — bit-exact
-    with a from-scratch ``TreeIndex`` build, validated by the property
-    suite.  The old tree and its index are untouched.
+    Returns a new tree whose structural arrays and cached index were both
+    assembled from the old ones (see module docstring) rather than derived
+    from scratch — bit-exact with ``Tree(labels, parent)`` and
+    ``TreeIndex(tree)``, validated by the property suite.  The old tree
+    and its index are untouched.
     """
     old = tree_index(tree)
     if isinstance(edit, Relabel):
@@ -203,8 +225,9 @@ def apply_edit_indexed(tree: Tree, edit) -> Tree:
 
 
 def _ancestor_chain(tree: Tree, node: int):
-    """Ancestors-or-self of ``node``: the only nodes whose subtree size
-    (hence ``after``, ``sib_groups`` key, ``last_child`` offset) changes."""
+    """Ancestors-or-self of ``node``: below the splice point, the only
+    nodes whose subtree size, ``after``, children mask, last child or next
+    sibling can change (any other node there ends before the splice)."""
     chain = []
     u = node
     while u >= 0:
@@ -213,11 +236,35 @@ def _ancestor_chain(tree: Tree, node: int):
     mask = 0
     for u in chain:
         mask |= 1 << u
-    return chain, mask, set(chain)
+    return chain, mask
+
+
+def _in_memory(table):
+    """``table`` as a list: shared when it already is one, else read out.
+
+    A store-loaded index's ``prefix``/``children_of`` are lazy slabs over
+    the old generation's mapping, which closes when that generation is
+    freed — a new generation must never keep reading through them.
+    """
+    return table if isinstance(table, list) else list(table)
 
 
 def _relabel_indexed(tree: Tree, old: TreeIndex, edit: Relabel):
-    new_tree = apply_edit(tree, edit)
+    _check_relabel(tree, edit)
+    labels = list(tree.labels)
+    labels[edit.node] = edit.label
+    # Structure is untouched: the new tree shares every structural tuple.
+    new_tree = Tree._spliced(
+        tuple(labels),
+        tree.parent,
+        tree.first_child,
+        tree.last_child,
+        tree.next_sibling,
+        tree.prev_sibling,
+        tree.depths,
+        tree.child_indexes,
+        tree.subtree_sizes,
+    )
     label_masks = dict(old.label_masks)
     old_label = tree.labels[edit.node]
     if edit.label != old_label:
@@ -228,14 +275,14 @@ def _relabel_indexed(tree: Tree, old: TreeIndex, edit: Relabel):
         else:
             del label_masks[old_label]
         label_masks[edit.label] = label_masks.get(edit.label, 0) | bit
-    # Structure is untouched: every other table is shared with the old
-    # index (all are read-only after construction).
+    # ...and so does the index, every table being read-only after
+    # construction — except lazy store views, which die with the old tree.
     index = TreeIndex._from_parts(
         new_tree,
-        prefix=old.prefix,
+        prefix=_in_memory(old.prefix),
         label_masks=label_masks,
         after=old.after,
-        children_of=old.children_of,
+        children_of=_in_memory(old.children_of),
         delta_groups=old.delta_groups,
         sib_groups=old.sib_groups,
         leaf_mask=old.leaf_mask,
@@ -247,35 +294,96 @@ def _relabel_indexed(tree: Tree, old: TreeIndex, edit: Relabel):
 
 
 def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
-    labels, parents, pos, k = _insert_arrays(tree, edit)
-    new_tree = Tree(labels, parents)
+    pos = _insert_position(tree, edit)
     sub = edit.subtree
     subidx = tree_index(sub)
+    k = sub.size
     n = old.n
     P = edit.parent
     kids = tree.children_ids(P)
     j = edit.index
     low = old.prefix[pos]
+    chain, chain_mask = _ancestor_chain(tree, P)
 
     def up(mask: int) -> int:
         return (mask & low) | ((mask & ~low) << k)
 
-    chain, chain_mask, chain_set = _ancestor_chain(tree, P)
+    # -- tree arrays: ids below pos keep their values, the inserted block
+    # is the subtree's arrays offset by pos, and the suffix shifts by k.
+    def shift(values):
+        return [w + k if w >= pos else w for w in values]
 
-    # prefix: extend by k entries; the old table is never recomputed.
-    prefix = [old.prefix[i] for i in range(n + 1)]
-    mask = prefix[-1]
+    def block(values):
+        return [w + pos if w >= 0 else -1 for w in values]
+
+    parent = tree.parent[:pos] + (P,) + tuple(
+        [p + pos for p in sub.parent[1:]] + shift(tree.parent[pos:])
+    )
+    first_child = list(tree.first_child[:pos])
+    if not kids:
+        first_child[P] = pos  # a leaf P gains its first child at P + 1
+    first_child += block(sub.first_child)
+    first_child += shift(tree.first_child[pos:])
+    last_child = list(tree.last_child[:pos])
+    next_sibling = list(tree.next_sibling[:pos])
+    subtree_sizes = list(tree.subtree_sizes[:pos])
+    for u in chain:
+        # Each chain node's interval contains pos: its next sibling and
+        # (unless it ends before pos) its last child move up by k.
+        subtree_sizes[u] += k
+        if next_sibling[u] >= 0:
+            next_sibling[u] += k
+        if last_child[u] >= pos:
+            last_child[u] += k
+    if j == len(kids):
+        last_child[P] = pos
+        if kids:
+            next_sibling[kids[-1]] = pos  # the old last child (id < pos)
+    last_child += block(sub.last_child)
+    last_child += shift(tree.last_child[pos:])
+    next_sibling.append(kids[j] + k if j < len(kids) else -1)
+    next_sibling += block(sub.next_sibling[1:])
+    next_sibling += shift(tree.next_sibling[pos:])
+    prev_sibling = list(tree.prev_sibling[:pos])
+    prev_sibling.append(kids[j - 1] if j else -1)
+    prev_sibling += block(sub.prev_sibling[1:])
+    prev_sibling += shift(tree.prev_sibling[pos:])
+    if j < len(kids):
+        prev_sibling[kids[j] + k] = pos  # the new node precedes kids[j]
+    child_indexes = list(tree.child_indexes)
+    for c in kids[j:]:
+        child_indexes[c] += 1  # later siblings move one slot right
+    child_indexes[pos:pos] = (j,) + sub.child_indexes[1:]
+    base = tree.depths[P] + 1
+    new_tree = Tree._spliced(
+        tree.labels[:pos] + sub.labels + tree.labels[pos:],
+        parent,
+        tuple(first_child),
+        tuple(last_child),
+        tuple(next_sibling),
+        tuple(prev_sibling),
+        tree.depths[:pos]
+        + tuple([d + base for d in sub.depths])
+        + tree.depths[pos:],
+        tuple(child_indexes),
+        tuple(subtree_sizes) + sub.subtree_sizes + tree.subtree_sizes[pos:],
+    )
+
+    # -- index tables: below pos only chain entries change; the suffix
+    # shifts whole.
+    prefix = _in_memory(old.prefix)
+    mask = prefix[n]
+    extension = []
     for _ in range(k):
         mask = (mask << 1) | 1
-        prefix.append(mask)
+        extension.append(mask)
+    prefix = prefix + extension  # a new list: the old one may be shared
 
-    after = [0] * (n + k)
-    for v in range(pos):
-        after[v] = old.after[v] + (k if v in chain_set else 0)
-    for i in range(k):
-        after[pos + i] = pos + subidx.after[i]
-    for v in range(pos, n):
-        after[v + k] = old.after[v] + k
+    after = old.after[:pos]
+    for u in chain:
+        after[u] += k
+    after += [pos + a for a in subidx.after]
+    after += [a + k for a in old.after[pos:]]
 
     label_masks = {}
     for label, m in old.label_masks.items():
@@ -283,14 +391,13 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
     for label, m in subidx.label_masks.items():
         label_masks[label] = label_masks.get(label, 0) | (m << pos)
 
-    children_of = [0] * (n + k)
-    for v in range(pos):
-        children_of[v] = up(old.children_of[v])
-    for i in range(k):
-        children_of[pos + i] = subidx.children_of[i] << pos
-    for v in range(pos, n):
-        children_of[v + k] = up(old.children_of[v])
+    old_children = _in_memory(old.children_of)
+    children_of = old_children[:pos]
+    for u in chain:
+        children_of[u] = up(children_of[u])
     children_of[P] |= 1 << pos
+    children_of += [m << pos for m in subidx.children_of]
+    children_of += [m << k for m in old_children[pos:]]
 
     root_bit = 1 << pos
     leaf_mask = (up(old.leaf_mask) | (subidx.leaf_mask << pos)) & ~(1 << P)
@@ -358,12 +465,8 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
         if g2:
             acc[d] = acc.get(d, 0) | up(g2)
     for u in chain:
-        lc = tree.last_child[u]
-        if u == P and j == len(kids):
-            lc_new = pos  # inserted at the end: the new node is last
-        else:
-            lc_new = lc + k if lc >= pos else lc
-        acc[lc_new - u] = acc.get(lc_new - u, 0) | (1 << u)
+        lc = last_child[u]
+        acc[lc - u] = acc.get(lc - u, 0) | (1 << u)
     for d, g in subidx.last_child_groups:
         acc[d] = acc.get(d, 0) | (g << pos)
     last_child_groups = sorted(acc.items())
@@ -385,27 +488,79 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
 
 
 def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
-    labels, parents, x, k = _delete_arrays(tree, edit)
-    new_tree = Tree(labels, parents)
+    _check_delete(tree, edit)
+    x = edit.node
+    k = tree.subtree_sizes[x]
     n = old.n
     P = tree.parent[x]
+    end = x + k
     low = old.prefix[x]
-    interval = old.prefix[x + k] ^ low  # the deleted id range [x, x+k)
+    interval = old.prefix[end] ^ low  # the deleted id range [x, x+k)
+    chain, chain_mask = _ancestor_chain(tree, P)
+    prev_sib = tree.prev_sibling[x]
+    next_sib = tree.next_sibling[x]
 
     def down(mask: int) -> int:
         # Deleted bits shift into [x-k, x) and are cleared by the ~low
         # guard on the high part / absent from the untouched low part.
         return (mask & low) | ((mask >> k) & ~low)
 
-    chain, chain_mask, chain_set = _ancestor_chain(tree, P)
+    # -- tree arrays: ids below x keep their values and the survivors past
+    # the deleted interval shift down by k.  Survivors never point into
+    # the interval, except next_sib's prev_sibling (patched below).
+    def shift(values):
+        return [w - k if w >= end else w for w in values]
 
-    prefix = [old.prefix[i] for i in range(n - k + 1)]
+    first_child = list(tree.first_child[:x])
+    if next_sib < 0 and prev_sib < 0:
+        first_child[P] = -1  # x was P's only child
+    first_child += shift(tree.first_child[end:])
+    last_child = list(tree.last_child[:x])
+    next_sibling = list(tree.next_sibling[:x])
+    subtree_sizes = list(tree.subtree_sizes[:x])
+    for u in chain:
+        subtree_sizes[u] -= k
+        if next_sibling[u] >= 0:
+            next_sibling[u] -= k
+        if last_child[u] >= end:
+            last_child[u] -= k
+    if next_sib < 0:
+        last_child[P] = prev_sib  # -1 when x was the only child
+        if prev_sib >= 0:
+            next_sibling[prev_sib] = -1
+    # (Otherwise prev_sib's next sibling keeps its value: next_sib - k == x.)
+    last_child += shift(tree.last_child[end:])
+    next_sibling += shift(tree.next_sibling[end:])
+    prev_sibling = list(tree.prev_sibling[:x])
+    prev_sibling += shift(tree.prev_sibling[end:])
+    child_indexes = list(tree.child_indexes[:x])
+    child_indexes += tree.child_indexes[end:]
+    if next_sib >= 0:
+        prev_sibling[x] = prev_sib  # next_sib's new id is x
+        c = x
+        while c >= 0:
+            child_indexes[c] -= 1  # later siblings move one slot left
+            c = next_sibling[c]
+    new_tree = Tree._spliced(
+        tree.labels[:x] + tree.labels[end:],
+        tree.parent[:x] + tuple(shift(tree.parent[end:])),
+        tuple(first_child),
+        tuple(last_child),
+        tuple(next_sibling),
+        tuple(prev_sibling),
+        tree.depths[:x] + tree.depths[end:],
+        tuple(child_indexes),
+        tuple(subtree_sizes) + tree.subtree_sizes[end:],
+    )
 
-    after = [0] * (n - k)
-    for v in range(x):
-        after[v] = old.after[v] - (k if v in chain_set else 0)
-    for v in range(x + k, n):
-        after[v - k] = old.after[v] - k
+    # -- index tables: below x only chain entries change; the survivors
+    # past the interval shift whole.
+    prefix = _in_memory(old.prefix)[: n - k + 1]
+
+    after = old.after[:x]
+    for u in chain:
+        after[u] -= k
+    after += [a - k for a in old.after[end:]]
 
     label_masks = {}
     for label, m in old.label_masks.items():
@@ -413,20 +568,17 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
         if m:
             label_masks[label] = m
 
-    children_of = [0] * (n - k)
-    for v in range(x):
-        children_of[v] = down(old.children_of[v])
-    for v in range(x + k, n):
-        children_of[v - k] = down(old.children_of[v])
+    old_children = _in_memory(old.children_of)
+    children_of = old_children[:x]
+    for u in chain:
+        children_of[u] = down(children_of[u])
+    children_of += [m >> k for m in old_children[end:]]
 
     leaf_mask = down(old.leaf_mask)
     first_mask = down(old.first_mask)
     last_mask = down(old.last_mask)
-    kids = tree.children_ids(P)
-    if len(kids) == 1:
+    if prev_sib < 0 and next_sib < 0:
         leaf_mask |= 1 << P  # x was the only child
-    prev_sib = tree.prev_sibling[x]
-    next_sib = tree.next_sibling[x]
     if prev_sib < 0 and next_sib >= 0:
         first_mask |= 1 << x  # next sibling's new id is next_sib - k == x
     if next_sib < 0 and prev_sib >= 0:
@@ -474,15 +626,9 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
         if g2:
             acc[d] = acc.get(d, 0) | down(g2)
     for u in chain:
-        lc = tree.last_child[u]
-        if u == P and lc == x:
-            lc_new = prev_sib if prev_sib >= 0 else None
-        elif lc >= x + k:
-            lc_new = lc - k
-        else:
-            lc_new = lc
-        if lc_new is not None:
-            acc[lc_new - u] = acc.get(lc_new - u, 0) | (1 << u)
+        lc = last_child[u]
+        if lc >= 0:
+            acc[lc - u] = acc.get(lc - u, 0) | (1 << u)
     last_child_groups = sorted(acc.items())
 
     index = TreeIndex._from_parts(
@@ -610,7 +756,31 @@ def edit_to_json(edit) -> dict:
     raise ValueError(f"unknown edit {edit!r}")
 
 
-# -- the oracle comparison helper --------------------------------------------
+# -- the oracle comparison helpers -------------------------------------------
+
+#: Every structural array of a :class:`Tree`, in ``Tree._spliced`` order.
+_TREE_ARRAYS = (
+    "labels",
+    "parent",
+    "first_child",
+    "last_child",
+    "next_sibling",
+    "prev_sibling",
+    "depths",
+    "child_indexes",
+    "subtree_sizes",
+)
+
+
+def tree_fingerprint(tree: Tree) -> dict:
+    """Every structural array of a tree, as plain comparable values.
+
+    The splice's contract on the tree side: a tree built by
+    :func:`apply_edit_indexed` must match ``Tree(labels, parent)`` on
+    every array, not just on the labels and parents it is keyed by.
+    """
+    return {name: getattr(tree, name) for name in _TREE_ARRAYS}
+
 
 
 def index_fingerprint(index: TreeIndex) -> dict:

@@ -167,7 +167,6 @@ def build_sections(index: TreeIndex) -> list[tuple[int, bytes]]:
     The canonical serialization of a tree + index; the on-disk store
     writer (:mod:`repro.trees.store`) wraps it in the RSTR framing.
     """
-    tree = index.tree
     n = index.n
     width = (n + 7) // 8
 
@@ -180,9 +179,9 @@ def build_sections(index: TreeIndex) -> list[tuple[int, bytes]]:
         label_table += encoded
 
     sections: list[tuple[int, bytes]] = [
-        (T_PARENTS, struct.pack(f"<{n}i", *tree.parent)),
+        (T_PARENTS, struct.pack(f"<{n}i", *index.parents)),
         (T_LABEL_TABLE, bytes(label_table)),
-        (T_LABEL_IDS, struct.pack(f"<{n}I", *(label_id[l] for l in tree.labels))),
+        (T_LABEL_IDS, struct.pack(f"<{n}I", *(label_id[l] for l in index.labels))),
         (T_AFTER, struct.pack(f"<{n}I", *index.after)),
         (
             T_FLAG_MASKS,

@@ -14,6 +14,7 @@ Node ids are preorder (document order) ranks; the root is node ``0``.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .node import Node
@@ -42,7 +43,6 @@ class Tree:
         "depths",
         "child_indexes",
         "subtree_sizes",
-        "_children",
         "_alphabet",
         "_shape",
         "_postorder",
@@ -65,60 +65,77 @@ class Tree:
             raise ValueError("labels and parents must have the same length")
         if parents[0] != -1:
             raise ValueError("node 0 must be the root (parent -1)")
+        parent = tuple(parents)
 
-        self.labels: tuple[str, ...] = tuple(labels)
-        self.parent: tuple[int, ...] = tuple(parents)
-
-        children: list[list[int]] = [[] for _ in range(n)]
+        depths = [0] * n
         for i in range(1, n):
-            p = self.parent[i]
+            p = parent[i]
             if not 0 <= p < i:
                 raise ValueError(
                     f"node {i} has parent {p}; ids must be in document order"
                 )
-            children[p].append(i)
-
-        first_child = [-1] * n
-        last_child = [-1] * n
-        next_sibling = [-1] * n
-        prev_sibling = [-1] * n
-        child_indexes = [0] * n
-        depths = [0] * n
-        for v, kids in enumerate(children):
-            if kids:
-                first_child[v] = kids[0]
-                last_child[v] = kids[-1]
-            for idx, c in enumerate(kids):
-                child_indexes[c] = idx
-                if idx > 0:
-                    prev_sibling[c] = kids[idx - 1]
-                    next_sibling[kids[idx - 1]] = c
-        for i in range(1, n):
-            depths[i] = depths[self.parent[i]] + 1
-
+            depths[i] = depths[p] + 1
         subtree_sizes = [1] * n
         for i in range(n - 1, 0, -1):
-            subtree_sizes[self.parent[i]] += subtree_sizes[i]
+            subtree_sizes[parent[i]] += subtree_sizes[i]
 
-        # Verify document order: the descendants of v must be exactly the
-        # contiguous id range (v, v + subtree_size).  Equivalently, the first
-        # child of v is v + 1 and each further child starts right after the
-        # previous child's subtree.
-        for v, kids in enumerate(children):
-            expected = v + 1
-            for c in kids:
-                if c != expected:
-                    raise ValueError("node ids are not in document (preorder) order")
-                expected = c + subtree_sizes[c]
+        # Document order is interval nesting: after[v] = v + size(v) ends
+        # v's id interval, and every node's interval must sit inside its
+        # parent's.  Then each descendant d of v has v < d < after[d] <=
+        # after[v], and since (v, after[v]) holds exactly size(v) - 1 ids it
+        # holds exactly v's descendants; the children of v therefore tile
+        # it in id order, which is the preorder (children-chain) condition.
+        after = [v + s for v, s in enumerate(subtree_sizes)]
+        # The root's -1 reads after[n - 1], which is n: the last id is a leaf.
+        parent_after = [after[p] for p in parent]
+        if not all(map(le, after, parent_after)):
+            raise ValueError("node ids are not in document (preorder) order")
 
-        self.first_child = tuple(first_child)
-        self.last_child = tuple(last_child)
-        self.next_sibling = tuple(next_sibling)
-        self.prev_sibling = tuple(prev_sibling)
-        self.child_indexes = tuple(child_indexes)
-        self.depths = tuple(depths)
-        self.subtree_sizes = tuple(subtree_sizes)
-        self._children = tuple(tuple(kids) for kids in children)
+        first_child = [v + 1 if a > v + 1 else -1 for v, a in enumerate(after)]
+        next_sibling = [a if a < b else -1 for a, b in zip(after, parent_after)]
+        prev_sibling = [-1] * n
+        last_child = [-1] * n
+        child_indexes = [0] * n
+        for v, s in enumerate(next_sibling):
+            if s >= 0:
+                prev_sibling[s] = v
+                child_indexes[s] = child_indexes[v] + 1
+            elif v:
+                last_child[parent[v]] = v
+
+        self._set_arrays(
+            tuple(labels),
+            parent,
+            tuple(first_child),
+            tuple(last_child),
+            tuple(next_sibling),
+            tuple(prev_sibling),
+            tuple(depths),
+            tuple(child_indexes),
+            tuple(subtree_sizes),
+        )
+
+    def _set_arrays(
+        self,
+        labels: tuple[str, ...],
+        parent: tuple[int, ...],
+        first_child: tuple[int, ...],
+        last_child: tuple[int, ...],
+        next_sibling: tuple[int, ...],
+        prev_sibling: tuple[int, ...],
+        depths: tuple[int, ...],
+        child_indexes: tuple[int, ...],
+        subtree_sizes: tuple[int, ...],
+    ) -> None:
+        self.labels = labels
+        self.parent = parent
+        self.first_child = first_child
+        self.last_child = last_child
+        self.next_sibling = next_sibling
+        self.prev_sibling = prev_sibling
+        self.depths = depths
+        self.child_indexes = child_indexes
+        self.subtree_sizes = subtree_sizes
         self._alphabet: frozenset[str] | None = None
         self._shape = None
         self._postorder: tuple[int, ...] | None = None
@@ -128,6 +145,20 @@ class Tree:
         # Set by repro.trees.store when this tree's index views a mapped
         # store file; holds the mmap open for the tree's lifetime.
         self._store_handle = None
+
+    @classmethod
+    def _spliced(cls, *arrays: tuple) -> "Tree":
+        """A tree from already-derived structural arrays, taken as given.
+
+        The edit splice in :mod:`repro.trees.mutate` builds a new
+        generation's arrays from the old ones and assembles them here,
+        skipping the derivation and the checks; its oracle is
+        ``Tree(labels, parent)`` (compared by ``tree_fingerprint``).
+        ``arrays`` follow :meth:`_set_arrays`' order, all tuples.
+        """
+        tree = object.__new__(cls)
+        tree._set_arrays(*arrays)
+        return tree
 
     # -- construction --------------------------------------------------------
 
@@ -219,7 +250,14 @@ class Tree:
     # -- structure queries on ids --------------------------------------------
 
     def children_ids(self, node_id: int) -> tuple[int, ...]:
-        return self._children[node_id]
+        """Ids of the children of ``node_id``, in sibling order."""
+        kids = []
+        c = self.first_child[node_id]
+        next_sibling = self.next_sibling
+        while c >= 0:
+            kids.append(c)
+            c = next_sibling[c]
+        return tuple(kids)
 
     def descendant_ids(self, node_id: int) -> range:
         """Ids of proper descendants (contiguous thanks to preorder ids)."""
@@ -262,12 +300,17 @@ class Tree:
         """
         if self._shape is None:
             shapes: list = [None] * self.size
+            next_sibling = self.next_sibling
             for v in range(self.size - 1, -1, -1):
-                kids = self._children[v]
-                if kids:
-                    shapes[v] = (self.labels[v], [shapes[c] for c in kids])
-                else:
+                c = self.first_child[v]
+                if c < 0:
                     shapes[v] = self.labels[v]
+                    continue
+                kids = []
+                while c >= 0:
+                    kids.append(shapes[c])
+                    c = next_sibling[c]
+                shapes[v] = (self.labels[v], kids)
             self._shape = shapes[0]
         return self._shape
 

@@ -61,6 +61,7 @@ from .mutate import (
     apply_edit_indexed,
     edit_from_json,
     index_fingerprint,
+    tree_fingerprint,
 )
 from .index import tree_index
 from .tree import Tree
@@ -78,8 +79,9 @@ def tree_digest(tree: Tree) -> str:
 
     This is the per-record self-check: cheap (O(n) text hashing, no index
     work) but collision-resistant, so replay detects a record applied to
-    the wrong base state.  The full bit-exactness check against
-    ``index_fingerprint`` happens once per tree at the end of recovery.
+    the wrong base state.  The full bit-exactness checks against
+    ``tree_fingerprint`` and ``index_fingerprint`` happen once per tree at
+    the end of recovery.
     """
     hasher = hashlib.sha256()
     hasher.update("\x00".join(tree.labels).encode("utf-8"))
@@ -385,8 +387,9 @@ def recover(directory, *, registry=None, verify: bool = True):
     Loads the newest intact snapshot, replays every intact log record with
     ``seq`` beyond it through the incremental index maintenance, checks each
     record's post-state digest, and (with ``verify=True``) compares every
-    replayed tree's :func:`index_fingerprint` bit-for-bit against an index
-    rebuilt from scratch.  A torn tail is ignored (the writer truncates it
+    replayed tree's structural arrays (:func:`tree_fingerprint`) and
+    :func:`index_fingerprint` bit-for-bit against a tree and index rebuilt
+    from scratch.  A torn tail is ignored (the writer truncates it
     on its next :meth:`WriteAheadLog.open`); corruption anywhere else raises
     :class:`WalCorruptError`.  Returns the registry (a fresh one unless
     ``registry`` is passed); attach a :class:`WriteAheadLog` afterwards to
@@ -445,8 +448,17 @@ def recover(directory, *, registry=None, verify: bool = True):
     if verify:
         for name in sorted(replayed):
             tree = registry.get(name)
-            rebuilt = tree_index(Tree(list(tree.labels), list(tree.parent)))
-            if index_fingerprint(tree_index(tree)) != index_fingerprint(rebuilt):
+            # The digest covers only labels and parents; the spliced arrays
+            # and the spliced index are each checked against a rebuild.
+            rebuilt = Tree(list(tree.labels), list(tree.parent))
+            if tree_fingerprint(tree) != tree_fingerprint(rebuilt):
+                raise WalCorruptError(
+                    f"recovered tree {name!r} structural arrays diverge from "
+                    "a from-scratch rebuild"
+                )
+            if index_fingerprint(tree_index(tree)) != index_fingerprint(
+                tree_index(rebuilt)
+            ):
                 raise WalCorruptError(
                     f"recovered tree {name!r} index fingerprint diverges from "
                     "a from-scratch rebuild"

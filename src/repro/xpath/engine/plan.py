@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 from ... import obs
 from ...runtime import faults
 from ...runtime.budget import ExecutionBudget
-from ...trees.index import Scope, TreeIndex, tree_index
+from ...trees.index import AXIS_KERNELS, Scope, TreeIndex, tree_index
 from ...trees.tree import Tree
 from .. import ast
 from ..evaluator import Evaluator, converse
@@ -106,10 +106,12 @@ def compile_node_plan(index: TreeIndex, expr: ast.NodeExpr) -> NodePlan:
 
 def _compile_path(index: TreeIndex, expr: ast.PathExpr) -> PathPlan:
     if isinstance(expr, ast.Step):
-        kernel = index.kernel(expr.axis)
+        # Plans are cached on the index, so they reach it through the
+        # evaluator (``ev.index``) and never capture it themselves.
+        kernel = AXIS_KERNELS[expr.axis]
 
         def run_step(ev, S: int, sc: Scope) -> int:
-            return kernel(S, sc) if S else 0
+            return kernel(ev.index, S, sc) if S else 0
 
         return run_step
 
@@ -135,7 +137,7 @@ def _compile_path(index: TreeIndex, expr: ast.PathExpr) -> PathPlan:
         if isinstance(expr.path, ast.Step):
             closed = _STAR_CLOSURES.get(expr.path.axis)
             if closed is not None:
-                kernel = index.kernel(closed)
+                kernel = AXIS_KERNELS[closed]
 
                 def run_star_axis(ev, S: int, sc: Scope) -> int:
                     if not S:
@@ -146,7 +148,7 @@ def _compile_path(index: TreeIndex, expr: ast.PathExpr) -> PathPlan:
                         "xpath.star.sweep", budget=ev.budget,
                         backend="bitset", mode="axis",
                     ):
-                        return kernel(S, sc) | S
+                        return kernel(ev.index, S, sc) | S
 
                 return run_star_axis
         body = compile_path_plan(index, expr.path)

@@ -13,6 +13,7 @@ Wall-clock governance of the *engines themselves* is exercised explicitly
 by the ``tests/runtime`` suite via ExecutionBudget instead.
 """
 
+import gc
 import random
 
 import pytest
@@ -98,6 +99,20 @@ def _store_handle_isolation():
     from repro.trees import store as _store
 
     _store.close_open_handles()
+
+
+@pytest.fixture()
+def gc_disabled():
+    """The cyclic garbage collector off for one test (refcounting only),
+    for tests asserting that objects die as soon as their last holder
+    lets go."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.fixture(scope="session")

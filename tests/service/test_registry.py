@@ -218,3 +218,48 @@ def test_reentrant_self_reregistration_is_bounded_and_consistent():
     # or doubled by the reentrancy.
     assert registry.epoch("doc") == 3
     assert sorted(fires) == fires and len(set(fires)) == len(fires)
+
+
+# -- generations are freed by reference counting -------------------------------
+
+
+def test_superseded_generations_are_freed_without_the_cyclic_gc(gc_disabled):
+    """No tree <-> index cycle: a generation dies with its last reference.
+
+    Each round pins the current generation, evaluates and model-checks on
+    it (warming compiled plans and relation tables on its index), releases
+    the pin and mutates.  With the cyclic collector off, every superseded
+    index must already be gone.
+    """
+    import random
+    import weakref
+
+    from repro.logic import parse_formula
+    from repro.logic.modelcheck import ModelChecker
+    from repro.trees import random_tree
+    from repro.trees.mutate import DeleteSubtree
+    from repro.xpath import parse_node
+    from repro.xpath.evaluator import Evaluator
+
+    rng = random.Random(14)
+    registry = TreeRegistry()
+    registry.register("doc", random_tree(120, ("a", "b"), rng))
+    query = parse_node("<descendant[a]> and not <right[b]>")
+    formula = parse_formula("exists y. child(x,y) & b(y)")
+    superseded = []
+    for round_ in range(20):
+        pin = registry.pin("doc")
+        index = tree_index(pin.tree)
+        superseded.append(weakref.ref(index))
+        Evaluator(pin.tree, backend="bitset").nodes(query)
+        ModelChecker(pin.tree, backend="bitset").node_set(formula, "x")
+        size = pin.tree.size
+        pin.release()
+        del pin, index
+        edits = (
+            Relabel(rng.randrange(size), "ab"[round_ % 2]),
+            InsertSubtree(0, 0, random_tree(4, ("a",), rng)),
+            DeleteSubtree(1),
+        )
+        registry.mutate("doc", edits[round_ % 3])
+    assert [ref() for ref in superseded] == [None] * 20

@@ -431,3 +431,52 @@ class TestHandleHygiene:
         # At most the resident trees keep mappings open; evicted trees'
         # handles die with their tree objects.
         assert len(open_handles()) <= len(registry.resident_names()) + 1
+
+    def test_evicted_generations_close_without_collection(self, gc_disabled):
+        # Trees hold no reference cycles, so an evicted or superseded
+        # store-loaded generation unmaps as soon as its last holder lets
+        # go; the cyclic collector is off to prove it is not needed.
+        registry, _ = make_registry(budget_trees=1.5)
+        for round_ in range(3):
+            for name in sorted(DOCS):
+                with registry.pin(name) as pin:
+                    assert pin.tree.labels[0] == "a"
+                if round_ == 1:
+                    registry.mutate(
+                        name, {"kind": "relabel", "node": 1, "label": "c"}
+                    )
+            del pin
+        # Every handle still open belongs to a resident generation.
+        resident = {
+            id(registry._trees[name]._store_handle)
+            for name in registry.resident_names()
+        }
+        assert open_handles()
+        assert {id(handle) for handle in open_handles()} <= resident
+
+    def test_last_reference_never_dropped_under_the_lock(
+        self, monkeypatch, gc_disabled
+    ):
+        # Freeing a generation (index, plans, munmap) happens wherever its
+        # last reference goes; the registry must let it go after releasing
+        # the lock every pin and lookup needs.
+        from repro.trees.store import StoreHandle
+
+        registry, _ = make_registry(budget_trees=1.5)
+        locked_at_close = []
+        real_close = StoreHandle.close
+
+        def recording_close(handle):
+            if not handle.closed:
+                locked_at_close.append(registry._lock.locked())
+            real_close(handle)
+
+        monkeypatch.setattr(StoreHandle, "close", recording_close)
+        for name in sorted(DOCS) * 2:  # evictions of store-loaded trees
+            registry.get(name)
+        for name in registry.resident_names():  # refresh drops
+            registry.refresh(name, registry.epoch(name) + 1)
+        cold = sorted(set(DOCS) - set(registry.resident_names()))[0]
+        registry.get(cold)
+        registry.register(cold, parse_xml("<a><b/></a>"))  # replaces it
+        assert locked_at_close and not any(locked_at_close)

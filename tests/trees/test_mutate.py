@@ -18,15 +18,19 @@ from repro.trees.mutate import (
     edit_from_json,
     edit_to_json,
     index_fingerprint,
+    tree_fingerprint,
 )
 from repro.testing import trees
 
 
-def assert_index_exact(tree: Tree) -> None:
-    """The incremental index on ``tree`` is bit-exact vs a scratch rebuild."""
-    incremental = index_fingerprint(tree_index(tree))
-    oracle = index_fingerprint(TreeIndex(Tree(tree.labels, tree.parent)))
-    assert incremental == oracle
+def assert_splice_exact(tree: Tree) -> None:
+    """Both halves of a spliced generation are bit-exact vs scratch
+    rebuilds: every structural array of the tree, every table of its index."""
+    oracle = Tree(list(tree.labels), list(tree.parent))
+    assert tree_fingerprint(tree) == tree_fingerprint(oracle)
+    assert index_fingerprint(tree_index(tree)) == index_fingerprint(
+        TreeIndex(oracle)
+    )
 
 
 # -- structural application --------------------------------------------------
@@ -107,14 +111,14 @@ def test_insert_incremental_index_every_position():
     for parent in range(t.size):
         for index in range(len(t.children_ids(parent)) + 1):
             t2 = apply_edit_indexed(t, InsertSubtree(parent, index, sub))
-            assert_index_exact(t2)
+            assert_splice_exact(t2)
 
 
 def test_delete_incremental_index_every_node():
     t = Tree.build(("a", ["b", ("c", ["d", ("e", ["h"])]), ("f", ["g"])]))
     for node in range(1, t.size):
         t2 = apply_edit_indexed(t, DeleteSubtree(node))
-        assert_index_exact(t2)
+        assert_splice_exact(t2)
 
 
 def test_relabel_shares_structural_tables():
@@ -122,12 +126,17 @@ def test_relabel_shares_structural_tables():
     old = tree_index(t)
     t2 = apply_edit_indexed(t, Relabel(1, "q"))
     new = tree_index(t2)
-    assert_index_exact(t2)
+    assert_splice_exact(t2)
     # Relabel is O(1): every structural table is shared, labels are not.
     assert new.prefix is old.prefix
     assert new.after is old.after
     assert new.delta_groups is old.delta_groups
     assert new.label_masks is not old.label_masks
+    # ...and so does the tree: only the labels are copied.
+    for name, array in tree_fingerprint(t2).items():
+        if name != "labels":
+            assert array is getattr(t, name), name
+    assert t2.labels is not t.labels
 
 
 def _draw_edit(data, tree: Tree):
@@ -153,16 +162,16 @@ def _draw_edit(data, tree: Tree):
 @settings(max_examples=120)
 @given(data=st.data())
 def test_random_edit_scripts_are_bit_exact(data):
-    """The acceptance-criteria property: after ANY edit script the
-    incrementally maintained index equals a full reindex, bit for bit
-    (and the incremental input of step i+1 is itself incremental)."""
+    """The acceptance-criteria property: after ANY edit script the spliced
+    tree arrays equal ``Tree(labels, parent)`` and the incrementally
+    maintained index equals a full reindex, bit for bit (and the
+    incremental input of step i+1 is itself incremental)."""
     tree = data.draw(trees(max_size=16, alphabet=("a", "b", "c")))
     steps = data.draw(st.integers(1, 5), label="script length")
     for _ in range(steps):
         edit = _draw_edit(data, tree)
         tree = apply_edit_indexed(tree, edit)
-        Tree(tree.labels, tree.parent)  # re-validates document order
-        assert_index_exact(tree)
+        assert_splice_exact(tree)  # the oracle also re-validates the order
 
 
 @settings(max_examples=60)

@@ -243,6 +243,28 @@ class TestHandleLifecycle:
         with pytest.raises(TreeShareError, match="detach"):
             index.prefix[1]  # unmaterialized reads fail loudly
 
+    @pytest.mark.parametrize(
+        "edit",
+        [Relabel(3, "b"), InsertSubtree(3, 0, Tree.leaf("c")), DeleteSubtree(3)],
+        ids=["relabel", "insert", "delete"],
+    )
+    def test_edit_outlives_the_old_mapping(self, tmp_path, edit):
+        # The new generation must not read through the old generation's
+        # lazy slabs: its mapping closes as soon as the old tree goes.
+        from repro.trees import apply_edit_indexed
+        from repro.xpath import Evaluator, parse_node
+
+        tree = random_tree(256, "ab", random.Random(5))
+        old = roundtrip(TreeStore(tmp_path), tree)
+        new = apply_edit_indexed(old, edit)
+        release_tree(old)
+        query = parse_node("<descendant[a]>")
+        expected = Evaluator(apply_edit(tree, edit), backend="sets").nodes(query)
+        assert Evaluator(new, backend="bitset").nodes(query) == expected
+        assert index_fingerprint(tree_index(new)) == index_fingerprint(
+            tree_index(apply_edit(tree, edit))
+        )
+
     def test_close_open_handles_sweep(self, tmp_path):
         store = TreeStore(tmp_path)
         store.pack("t", random_tree(10, "ab", random.Random(1)))

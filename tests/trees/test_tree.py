@@ -1,8 +1,13 @@
 """Unit tests for the tree data model."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trees import Tree
+from repro.trees.mutate import tree_fingerprint
 
 
 class TestConstruction:
@@ -50,6 +55,108 @@ class TestConstruction:
         # contiguous.
         with pytest.raises(ValueError):
             Tree(["a", "b", "c", "d"], [-1, 0, 0, 1])
+
+
+def _children_chain_tree(parents) -> "str | dict":
+    """The constructor before the interval-nesting validator, kept as its
+    oracle: the ``ValueError`` message it raised for ``parents``, or the
+    structural arrays it derived (by ``tree_fingerprint`` name)."""
+    n = len(parents)
+    if n == 0:
+        return "a tree must have at least one node (the root)"
+    if parents[0] != -1:
+        return "node 0 must be the root (parent -1)"
+    children = [[] for _ in range(n)]
+    for i in range(1, n):
+        p = parents[i]
+        if not 0 <= p < i:
+            return f"node {i} has parent {p}; ids must be in document order"
+        children[p].append(i)
+    first_child = [-1] * n
+    last_child = [-1] * n
+    next_sibling = [-1] * n
+    prev_sibling = [-1] * n
+    child_indexes = [0] * n
+    depths = [0] * n
+    for v, kids in enumerate(children):
+        if kids:
+            first_child[v] = kids[0]
+            last_child[v] = kids[-1]
+        for idx, c in enumerate(kids):
+            child_indexes[c] = idx
+            if idx > 0:
+                prev_sibling[c] = kids[idx - 1]
+                next_sibling[kids[idx - 1]] = c
+    for i in range(1, n):
+        depths[i] = depths[parents[i]] + 1
+    sizes = [1] * n
+    for i in range(n - 1, 0, -1):
+        sizes[parents[i]] += sizes[i]
+    for v, kids in enumerate(children):
+        expected = v + 1
+        for c in kids:
+            if c != expected:
+                return "node ids are not in document (preorder) order"
+            expected = c + sizes[c]
+    return {
+        "labels": ("a",) * n,
+        "parent": tuple(parents),
+        "first_child": tuple(first_child),
+        "last_child": tuple(last_child),
+        "next_sibling": tuple(next_sibling),
+        "prev_sibling": tuple(prev_sibling),
+        "depths": tuple(depths),
+        "child_indexes": tuple(child_indexes),
+        "subtree_sizes": tuple(sizes),
+    }
+
+
+def _tree_verdict(parents) -> "str | dict":
+    try:
+        tree = Tree(["a"] * len(parents), parents)
+    except ValueError as exc:
+        return str(exc)
+    return tree_fingerprint(tree)
+
+
+@st.composite
+def parent_arrays(draw):
+    """Preorder parent arrays of up to 40 nodes, some with a few entries
+    overwritten by arbitrary ids (mostly invalid, occasionally still a
+    valid tree)."""
+    n = draw(st.integers(1, 40))
+    parents = [-1]
+    path = [0]  # the rightmost path: the only valid parents of the next id
+    for i in range(1, n):
+        depth = draw(st.integers(0, len(path) - 1))
+        parents.append(path[depth])
+        del path[depth + 1 :]
+        path.append(i)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        parents[i] = draw(st.integers(-2, n))
+    return parents
+
+
+class TestValidator:
+    """``Tree(labels, parents)`` checks interval nesting; it must accept
+    and reject exactly what the children-chain check accepted."""
+
+    def test_matches_children_chain_exhaustively(self):
+        checked = 0
+        for n in range(1, 8):
+            for parents in itertools.product(*(range(-1, i + 1) for i in range(n))):
+                assert _tree_verdict(parents) == _children_chain_tree(parents), parents
+                checked += 1
+        assert checked == 46232
+
+    @settings(max_examples=400)
+    @given(parent_arrays())
+    def test_matches_children_chain_on_larger_arrays(self, parents):
+        assert _tree_verdict(parents) == _children_chain_tree(parents)
+
+    def test_empty_array_rejected_alike(self):
+        assert _tree_verdict([]) == _children_chain_tree([])
 
 
 class TestNavigation:

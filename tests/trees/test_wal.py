@@ -250,6 +250,30 @@ def test_digest_mismatch_is_fatal(tmp_path):
     assert recover(tmp_path / "wal", verify=False).names() == ["doc"]
 
 
+def test_bad_splice_fails_verification(tmp_path, monkeypatch):
+    # A splice that gets a structural array wrong passes the per-record
+    # digest (labels + parents only) and the index check (the index is
+    # maintained from the old index, not from the new arrays); only the
+    # tree fingerprint against a rebuild catches it.
+    import repro.trees.wal as wal_module
+    from repro.trees.mutate import apply_edit_indexed
+
+    registry, wal = _registry_with_wal(tmp_path)
+    registry.register("doc", parse_xml("<a><b/><c/><d/></a>"))
+    registry.mutate("doc", Relabel(2, "z"))
+    wal.close()
+
+    def bad_splice(tree, edit):
+        spliced = apply_edit_indexed(tree, edit)
+        spliced.next_sibling = (-1,) * spliced.size  # no siblings at all
+        return spliced
+
+    monkeypatch.setattr(wal_module, "apply_edit_indexed", bad_splice)
+    with pytest.raises(WalCorruptError, match="structural arrays diverge"):
+        recover(tmp_path / "wal")
+    assert recover(tmp_path / "wal", verify=False).names() == ["doc"]
+
+
 def test_mutate_of_unknown_tree_is_fatal(tmp_path):
     wal = WriteAheadLog.open(tmp_path / "wal")
     post = apply_edit(parse_xml("<a><b/></a>"), Relabel(1, "z"))
