@@ -1,20 +1,24 @@
-"""Experiment M1 — delta index maintenance vs full reindex.
+"""Experiment M1 — spliced edits vs edit plus full reindex.
 
 A live document answers indexed queries between edits, so the cost that
 matters is *edit + index repair*, not edit alone.  Two arms per point:
 
-* ``delta`` — :func:`repro.trees.mutate.apply_edit_indexed`: structural
-  edit plus incremental mask shift/splice + ancestor-chain repair;
-* ``reindex`` — the same structural edit followed by a full
-  :func:`repro.trees.tree_index` rebuild (the correctness oracle the
+* ``delta`` — :func:`repro.trees.mutate.apply_edit_indexed`: the new
+  generation spliced from the old one, both the tree's arrays (patched on
+  the ancestor chain and at the edit site, suffix shifted) and its index
+  (mask shift/splice + ancestor-chain repair);
+* ``reindex`` — the same edit through :func:`repro.trees.mutate.apply_edit`
+  (arrays re-derived by ``Tree(labels, parents)``) followed by a full
+  :func:`repro.trees.tree_index` rebuild (the correctness oracles the
   property tests compare the delta path against, bit for bit).
 
 Series: one (size, kind) grid over graded random trees and the three edit
-kinds.  Relabel touches one label column and repairs one ancestor chain,
-so its delta arm should be far below the rebuild at every size; insert and
-delete pay a mask shift linear in the suffix but still avoid re-deriving
-the structural tables.  The compact schema's per-group speedups (delta vs
-reindex share a group per size/kind) are what EXPERIMENTS.md quotes.
+kinds.  Relabel copies the label column and label masks and shares every
+other table, so its delta arm should be far below the rebuild at every
+size; insert and delete pay array copies and a mask shift linear in the
+suffix but still avoid re-deriving the structural tables.  The compact
+schema's per-group speedups (delta vs reindex share a group per
+size/kind) are what EXPERIMENTS.md quotes.
 
 Record results with::
 
@@ -34,6 +38,7 @@ from repro.trees.mutate import (
     apply_edit,
     apply_edit_indexed,
     index_fingerprint,
+    tree_fingerprint,
 )
 
 SIZES = (128, 512, 2048)
@@ -43,7 +48,8 @@ SIZES = (128, 512, 2048)
 _KINDS = ("insert", "delete", "relabel")
 
 
-def _edit_for(tree, kind):
+def edit_for(tree, kind):
+    """The benchmarked edit of ``kind`` (also timed by ``compare_backends.py``)."""
     node = tree.size // 2
     if kind == "insert":
         return InsertSubtree(parent=node, index=0, subtree=parse_xml("<b><a/><c/></b>"))
@@ -66,7 +72,7 @@ def test_delta_maintenance(benchmark, indexed_trees, kind, size):
     """M1 delta arm: one edit with incremental index repair."""
     benchmark.group = f"M1 {kind} n={size}"
     tree = indexed_trees[size]
-    edit = _edit_for(tree, kind)
+    edit = edit_for(tree, kind)
     result = benchmark(lambda: apply_edit_indexed(tree, edit))
     assert result._engine_index is not None
 
@@ -77,7 +83,7 @@ def test_full_reindex(benchmark, indexed_trees, kind, size):
     """M1 oracle arm: the same edit, index rebuilt from scratch."""
     benchmark.group = f"M1 {kind} n={size}"
     tree = indexed_trees[size]
-    edit = _edit_for(tree, kind)
+    edit = edit_for(tree, kind)
     result = benchmark(lambda: tree_index(apply_edit(tree, edit)))
     assert result is not None
 
@@ -87,9 +93,10 @@ def test_delta_equals_reindex_on_the_bench_grid(indexed_trees):
     otherwise the speedup rows would be comparing different computations."""
     for size, tree in indexed_trees.items():
         for kind in _KINDS:
-            edit = _edit_for(tree, kind)
+            edit = edit_for(tree, kind)
             delta = apply_edit_indexed(tree, edit)
             oracle = apply_edit(tree, edit)
+            assert tree_fingerprint(delta) == tree_fingerprint(oracle), (size, kind)
             assert index_fingerprint(delta._engine_index) == index_fingerprint(
                 tree_index(oracle)
             ), (size, kind)

@@ -28,11 +28,17 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     compact_in_place(output_json)
 
 
+def graded_random_trees():
+    """Size-graded random trees, keyed by size; the same trees on every call
+    (scripts outside pytest, like ``compare_backends.py``, build them here)."""
+    rng = random.Random(2008)
+    return {size: random_tree(size, rng=rng) for size in (128, 512, 2048)}
+
+
 @pytest.fixture(scope="session")
 def workload_trees():
     """Size-graded random trees used across the evaluation benchmarks."""
-    rng = random.Random(2008)
-    return {size: random_tree(size, rng=rng) for size in (128, 512, 2048)}
+    return graded_random_trees()
 
 
 @pytest.fixture(scope="session")

@@ -106,7 +106,11 @@ def axis_steps(
         yield node_id
     elif axis is Axis.CHILD:
         # Children of an in-scope node are always in scope.
-        yield from tree.children_ids(node_id)
+        next_sibling = tree.next_sibling
+        c = tree.first_child[node_id]
+        while c >= 0:
+            yield c
+            c = next_sibling[c]
     elif axis is Axis.PARENT:
         pid = tree.parent[node_id]
         if pid >= 0 and (scope is None or node_id != scope):
