@@ -2,11 +2,12 @@
 
 Series: model-checking time as a function of (a) tree size for a fixed
 formula, (b) quantifier depth, (c) number of TC operators — the three knobs
-that the translation-vs-evaluation gap (C3) decomposes into.  Every series
-runs on both checker backends (the row-wise ``table`` reference and the
-columnar ``bitset`` engine), so the recorded numbers double as the
-model-checking speedup table (see also ``compare_backends.py``, which gates
-on the TC-heavy series).
+that the translation-vs-evaluation gap (C3) decomposes into — plus (d) the
+serving pool's ``check`` formulas at serving size.  Every series runs on
+both checker backends (the row-wise ``table`` reference and the columnar
+``bitset`` engine), so the recorded numbers double as the model-checking
+speedup table (see also ``compare_backends.py``, which gates on the
+TC-heavy and serving series).
 """
 
 import random
@@ -14,7 +15,8 @@ import random
 import pytest
 
 from repro.logic import CHECKER_BACKENDS, ModelChecker, parse_formula
-from repro.trees import random_deep_tree, random_tree
+from repro.logic.ast import free_variables
+from repro.trees import random_deep_tree, random_tree, tree_index
 
 EXISTS_TOWER = {
     1: "exists y1. child(x,y1)",
@@ -34,6 +36,29 @@ TC_HEAVY = (
     "exists x. exists y. tc[u,v](child(u,v) | right(u,v))(x,y) "
     "& last(y) & leaf(y)"
 )
+
+
+#: The ``check`` formulas of the serving benchmark's request pools
+#: (perfbench's hot and cold pools), keyed by what they exercise.
+SERVING_FORMULAS = {
+    "child": "a(x) & exists y. child(x,y) & b(y)",
+    "tc": "exists x. exists y. tc[u,v](child(u,v) | right(u,v))(x,y) & c(x) & d(y)",
+    "leaf": "exists x. a(x) & leaf(x)",
+}
+
+
+def serving_tree(size: int):
+    """A serving-size document with an indexed tree, as the service has."""
+    tree = random_tree(size, alphabet=("a", "b", "c", "d"), rng=random.Random(size))
+    tree_index(tree)
+    return tree
+
+
+def check_once(tree, formula, backend: str):
+    """One request's check: a fresh checker, as the service builds per call."""
+    checker = ModelChecker(tree, backend=backend)
+    free = sorted(free_variables(formula))
+    return checker.node_set(formula, free[0]) if free else checker.holds(formula)
 
 
 @pytest.mark.parametrize("backend", CHECKER_BACKENDS)
@@ -88,3 +113,14 @@ def test_checker_reuse_amortizes(benchmark, backend):
     checker.node_set(formula, "x")  # warm
     result = benchmark(lambda: checker.node_set(formula, "x"))
     assert isinstance(result, set)
+
+
+@pytest.mark.parametrize("backend", CHECKER_BACKENDS)
+@pytest.mark.parametrize("size", (512, 2048))
+@pytest.mark.parametrize("name", sorted(SERVING_FORMULAS))
+def test_serving_formulas(benchmark, name, size, backend):
+    """The serving pool's check formulas at serving size."""
+    tree = serving_tree(size)
+    formula = parse_formula(SERVING_FORMULAS[name])
+    result = benchmark(lambda: check_once(tree, formula, backend))
+    assert isinstance(result, (bool, set))

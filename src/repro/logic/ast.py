@@ -47,6 +47,8 @@ __all__ = [
     "forall_many",
     "root_formula",
     "leaf_formula",
+    "first_formula",
+    "last_formula",
     "free_variables",
     "fresh_variable",
 ]
@@ -266,6 +268,16 @@ def root_formula(var: str, helper: str = "_r") -> Formula:
 def leaf_formula(var: str, helper: str = "_l") -> Formula:
     """``var`` is a leaf: it has no child."""
     return Not(Exists(helper, Rel("child", var, helper)))
+
+
+def first_formula(var: str, helper: str = "_p") -> Formula:
+    """``var`` is a first sibling: it has no previous sibling."""
+    return Not(Exists(helper, Rel("right", helper, var)))
+
+
+def last_formula(var: str, helper: str = "_s") -> Formula:
+    """``var`` is a last sibling: it has no next sibling."""
+    return Not(Exists(helper, Rel("right", var, helper)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ This package is the performance engine behind
   and booleans collapse to a single mask), with join / complement /
   projection / union as mask arithmetic;
 * :mod:`repro.logic.engine.checker` — the bottom-up evaluator over the
-  shared per-tree :class:`repro.trees.index.TreeIndex`, with ``[TC]``
-  evaluated as batched semi-naive frontier sweeps instead of a
+  shared per-tree :class:`repro.trees.index.TreeIndex`: a guarded ``∃``
+  with a path-shaped body is a semi-join on node masks (axis-kernel
+  pre-images, a parameter-free ``[TC]`` as one frontier sweep), and other
+  ``[TC]`` tables close by batched semi-naive frontier sweeps instead of a
   tuple-at-a-time BFS.
 
 See DESIGN.md ("The bitset model checker") and

@@ -13,7 +13,7 @@ Grammar (EBNF; quantifiers scope as far right as possible)::
              | VAR '=' VAR | VAR '!=' VAR
              | REL '(' VAR ',' VAR ')'             -- child/right/descendant/...
              | ('tc' | 'rtc') '[' VAR ',' VAR ']' '(' formula ')' '(' VAR ',' VAR ')'
-             | 'root' '(' VAR ')' | 'leaf' '(' VAR ')'
+             | ('root' | 'leaf' | 'first' | 'last') '(' VAR ')'
              | NAME '(' VAR ')'                     -- label atom
              | '(' formula ')'
 
@@ -30,7 +30,14 @@ from . import ast
 __all__ = ["DEFAULT_MAX_DEPTH", "parse_formula", "FormulaSyntaxError"]
 
 _RELATIONS = set(ast.RELATION_NAMES)
-_KEYWORDS = {"exists", "all", "true", "false", "tc", "rtc", "root", "leaf"} | _RELATIONS
+#: The unary macros, expanded as XPath's ``root``/``leaf``/``first``/``last``.
+_MACROS = {
+    "root": ast.root_formula,
+    "leaf": ast.leaf_formula,
+    "first": ast.first_formula,
+    "last": ast.last_formula,
+}
+_KEYWORDS = {"exists", "all", "true", "false", "tc", "rtc"} | set(_MACROS) | _RELATIONS
 
 #: Default bound on recursive grammar productions; deep nesting raises a
 #: positioned :class:`DepthLimitError` instead of a bare ``RecursionError``.
@@ -228,13 +235,12 @@ class _Parser:
             if value == "tc":
                 return ast.TC(x, y, body, source, target)
             return ast.rtc(x, y, body, source, target)
-        if value in ("root", "leaf"):
+        if value in _MACROS:
             self.advance()
             self.expect("(")
             var = self.expect_var()
             self.expect(")")
-            maker = ast.root_formula if value == "root" else ast.leaf_formula
-            return maker(var)
+            return _MACROS[value](var)
         if value in _RELATIONS:
             self.advance()
             self.expect("(")

@@ -105,12 +105,19 @@ class Span:
 
     # -- lifecycle ---------------------------------------------------------
 
+    # Entry and exit are the per-span hot path of every traced engine call,
+    # so both read the per-thread stack straight off the tracer's
+    # thread-local and do their work inline.
+
     def __enter__(self) -> "Span":
         if self._state != 0:
             raise RuntimeError(f"span {self.name!r} entered twice")
         self._state = 1
         tracer = self._tracer
-        stack = tracer._stack()
+        try:
+            stack = tracer._local.stack
+        except AttributeError:
+            stack = tracer._stack()
         if stack:
             stack[-1].children.append(self)
         stack.append(self)
@@ -121,11 +128,6 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close(error=exc)
-        return False
-
-    def close(self, error: BaseException | None = None) -> None:
-        """Freeze the span (normally via the ``with`` protocol)."""
         if self._state != 1:
             raise RuntimeError(
                 f"span {self.name!r} closed while not open (state {self._state})"
@@ -135,15 +137,23 @@ class Span:
         self.cpu_end = tracer.cpu_clock()
         if self._budget is not None:
             self.budget_steps = self._budget.steps - self.budget_steps
-        if error is not None:
-            self.attrs.setdefault("error", type(error).__name__)
+        if exc is not None:
+            self.attrs.setdefault("error", type(exc).__name__)
         self._state = 2
-        stack = tracer._stack()
+        try:
+            stack = tracer._local.stack
+        except AttributeError:  # closed on a thread that never opened a span
+            stack = None
         if not stack or stack[-1] is not self:
             raise RuntimeError(f"span {self.name!r} closed out of order")
         stack.pop()
         if not stack:
             tracer._add_root(self)
+        return False
+
+    def close(self, error: BaseException | None = None) -> None:
+        """Freeze the span (normally via the ``with`` protocol)."""
+        self.__exit__(None, error, None)
 
     # -- inspection --------------------------------------------------------
 
@@ -315,7 +325,7 @@ def span(name: str, budget=None, **attrs):
     tracer = _active
     if tracer is None:
         return NOOP_SPAN
-    return tracer.span(name, budget=budget, **attrs)
+    return Span(tracer, name, budget, attrs)
 
 
 def current_tracer() -> Tracer | None:

@@ -59,7 +59,8 @@ _WHERE = {
     "xpath.bitset": "entry of every public ``BitsetEvaluator`` method",
     "xpath.bitset.star": "inside the batched Kleene-star frontier sweep",
     "logic.bitset": "entry of every public ``BitsetModelChecker`` method",
-    "logic.bitset.tc": "inside the semi-naive ``[TC]`` sweep",
+    "logic.bitset.tc": "inside every ``[TC]`` sweep: the semi-naive closure "
+    "of a ``[TC]`` table and the frontier sweep of a semi-join",
     "automata.bitset": "entry of the bit-parallel configuration sweep",
     "service.worker": "start of each fast-path attempt in a service worker",
     "trees.mutate": "inside :meth:`TreeRegistry.mutate`, before the edit is "

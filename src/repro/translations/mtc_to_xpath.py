@@ -68,7 +68,7 @@ def mtc_to_node_expr(formula: fo.Formula, x: str = "x") -> xp.NodeExpr:
         raise UnsupportedFormula(
             f"free variables {sorted(free)} not contained in {{{x}}}"
         )
-    return _node(nnf(formula), x)
+    return _node(nnf(formula), x, False)
 
 
 def mtc_to_path_expr(
@@ -91,30 +91,24 @@ def mtc_to_path_expr(
         raise UnsupportedFormula(
             f"free variables {sorted(free)} not contained in {{{x}, {y}}}"
         )
-    global _ALLOW_PATH_BOOLEANS
-    previous = _ALLOW_PATH_BOOLEANS
-    _ALLOW_PATH_BOOLEANS = allow_path_booleans
-    try:
-        return _path(nnf(formula), x, y)
-    finally:
-        _ALLOW_PATH_BOOLEANS = previous
-
-
-_ALLOW_PATH_BOOLEANS = False
+    return _path(nnf(formula), x, y, allow_path_booleans)
 
 
 # ---------------------------------------------------------------------------
 # Binary translation
 # ---------------------------------------------------------------------------
+#
+# ``booleans`` is ``allow_path_booleans``, passed down the recursion (not
+# kept in module state) so concurrent translations cannot see each other's.
 
 
-def _path(formula: fo.Formula, x: str, y: str) -> xp.PathExpr:
+def _path(formula: fo.Formula, x: str, y: str, booleans: bool) -> xp.PathExpr:
     free = fo.free_variables(formula)
     # Cylinders: a formula not relating x and y denotes a product relation.
     if y not in free:
-        return xp.Seq(xp.Check(_node(formula, x)), ANY_PAIR)
+        return xp.Seq(xp.Check(_node(formula, x, booleans)), ANY_PAIR)
     if x not in free:
-        return xp.Seq(ANY_PAIR, xp.Check(_node(formula, y)))
+        return xp.Seq(ANY_PAIR, xp.Check(_node(formula, y, booleans)))
 
     if isinstance(formula, fo.Rel):
         if (formula.left, formula.right) == (x, y):
@@ -125,20 +119,20 @@ def _path(formula: fo.Formula, x: str, y: str) -> xp.PathExpr:
     if isinstance(formula, fo.Eq):
         return xp.SELF  # both orientations
     if isinstance(formula, fo.Or):
-        parts = [_path(d, x, y) for d in disjuncts(formula)]
+        parts = [_path(d, x, y, booleans) for d in disjuncts(formula)]
         result = parts[0]
         for part in parts[1:]:
             result = xp.Union(result, part)
         return result
     if isinstance(formula, fo.And):
-        return _path_conjunction(list(conjuncts(formula)), x, y)
+        return _path_conjunction(list(conjuncts(formula)), x, y, booleans)
     if isinstance(formula, fo.Exists):
-        return _path_exists(formula, x, y)
+        return _path_exists(formula, x, y, booleans)
     if isinstance(formula, fo.TC):
-        return _path_tc(formula, x, y)
+        return _path_tc(formula, x, y, booleans)
     if isinstance(formula, fo.Not):
-        if _ALLOW_PATH_BOOLEANS:
-            return xp.Complement(_path(formula.operand, x, y))
+        if booleans:
+            return xp.Complement(_path(formula.operand, x, y, booleans))
         raise UnsupportedFormula(
             "negation of a genuinely binary formula needs path complementation "
             "(XPath 2.0 territory; pass allow_path_booleans=True)"
@@ -146,7 +140,9 @@ def _path(formula: fo.Formula, x: str, y: str) -> xp.PathExpr:
     raise UnsupportedFormula(f"no binary translation for {formula}")
 
 
-def _path_conjunction(parts: list[fo.Formula], x: str, y: str) -> xp.PathExpr:
+def _path_conjunction(
+    parts: list[fo.Formula], x: str, y: str, booleans: bool
+) -> xp.PathExpr:
     binary: list[fo.Formula] = []
     unary_x: list[fo.Formula] = []
     unary_y: list[fo.Formula] = []
@@ -158,28 +154,30 @@ def _path_conjunction(parts: list[fo.Formula], x: str, y: str) -> xp.PathExpr:
             unary_y.append(part)
         else:
             unary_x.append(part)  # includes sentences: guards on x
-    if len(binary) > 1 and not _ALLOW_PATH_BOOLEANS:
+    if len(binary) > 1 and not booleans:
         raise UnsupportedFormula(
             "conjunction of several binary formulas is path intersection, "
             "not expressible in Regular XPath (pass allow_path_booleans=True "
             "to target Core XPath 2.0)"
         )
     if binary:
-        core = _path(binary[0], x, y)
+        core = _path(binary[0], x, y, booleans)
         for extra in binary[1:]:
-            core = xp.Intersect(core, _path(extra, x, y))
+            core = xp.Intersect(core, _path(extra, x, y, booleans))
     else:
         core = ANY_PAIR
     if unary_x:
-        guard = _node(fo.big_and(unary_x), x)
+        guard = _node(fo.big_and(unary_x), x, booleans)
         core = xp.Seq(xp.Check(guard), core)
     if unary_y:
-        guard = _node(fo.big_and(unary_y), y)
+        guard = _node(fo.big_and(unary_y), y, booleans)
         core = xp.Seq(core, xp.Check(guard))
     return core
 
 
-def _path_exists(formula: fo.Exists, x: str, y: str) -> xp.PathExpr:
+def _path_exists(
+    formula: fo.Exists, x: str, y: str, booleans: bool
+) -> xp.PathExpr:
     z = formula.var
     body = formula.body
     if z in (x, y):
@@ -196,7 +194,7 @@ def _path_exists(formula: fo.Exists, x: str, y: str) -> xp.PathExpr:
     if outer:
         inner = [part for part in parts if z in fo.free_variables(part)]
         rebuilt = fo.Exists(z, fo.big_and(inner)) if inner else fo.TRUE
-        return _path_conjunction(outer + [rebuilt], x, y)
+        return _path_conjunction(outer + [rebuilt], x, y, booleans)
     first: list[fo.Formula] = []  # free ⊆ {x, z}
     second: list[fo.Formula] = []  # free ⊆ {z, y}
     for part in parts:
@@ -212,13 +210,13 @@ def _path_exists(formula: fo.Exists, x: str, y: str) -> xp.PathExpr:
         else:
             # Unary in z: attach to the first leg (it becomes a mid-test).
             first.append(part)
-    left = _path(fo.big_and(first), x, z) if first else ANY_PAIR
-    right = _path(fo.big_and(second), z, y) if second else ANY_PAIR
+    left = _path(fo.big_and(first), x, z, booleans) if first else ANY_PAIR
+    right = _path(fo.big_and(second), z, y, booleans) if second else ANY_PAIR
     return xp.Seq(left, right)
 
 
-def _path_tc(formula: fo.TC, x: str, y: str) -> xp.PathExpr:
-    step = _path(formula.body, formula.x, formula.y)
+def _path_tc(formula: fo.TC, x: str, y: str, booleans: bool) -> xp.PathExpr:
+    step = _path(formula.body, formula.x, formula.y, booleans)
     if (formula.source, formula.target) == (x, y):
         return xp.plus(step)
     if (formula.source, formula.target) == (y, x):
@@ -233,10 +231,10 @@ def _path_tc(formula: fo.TC, x: str, y: str) -> xp.PathExpr:
 # ---------------------------------------------------------------------------
 
 
-def _node(formula: fo.Formula, x: str) -> xp.NodeExpr:
+def _node(formula: fo.Formula, x: str, booleans: bool) -> xp.NodeExpr:
     free = fo.free_variables(formula)
     if not free:
-        return _sentence(formula)
+        return _sentence(formula, booleans)
     if isinstance(formula, fo.LabelAtom):
         return xp.Label(formula.label)
     if isinstance(formula, fo.Eq):
@@ -249,19 +247,24 @@ def _node(formula: fo.Formula, x: str) -> xp.NodeExpr:
             return xp.FALSE
         raise UnsupportedFormula(f"relational atom {formula} is not unary in {x}")
     if isinstance(formula, fo.Not):
-        return xp.Not(_node(formula.operand, x))
+        return xp.Not(_node(formula.operand, x, booleans))
     if isinstance(formula, fo.And):
-        return xp.And(_node(formula.left, x), _node(formula.right, x))
+        return xp.And(
+            _node(formula.left, x, booleans), _node(formula.right, x, booleans)
+        )
     if isinstance(formula, fo.Or):
-        return xp.Or(_node(formula.left, x), _node(formula.right, x))
+        return xp.Or(
+            _node(formula.left, x, booleans), _node(formula.right, x, booleans)
+        )
     if isinstance(formula, fo.Exists):
         z = formula.var
         body = formula.body
         if z == x:
             raise AssertionError("shadowed quantifier should have been a sentence")
-        return xp.Exists(_path(body, x, z))
+        return xp.Exists(_path(body, x, z, booleans))
     if isinstance(formula, fo.Forall):
-        return xp.Not(_node(fo.Exists(formula.var, nnf(fo.Not(formula.body))), x))
+        negated = fo.Exists(formula.var, nnf(fo.Not(formula.body)))
+        return xp.Not(_node(negated, x, booleans))
     if isinstance(formula, fo.TC):
         if formula.source == formula.target:
             raise UnsupportedFormula(
@@ -271,22 +274,27 @@ def _node(formula: fo.Formula, x: str) -> xp.NodeExpr:
     raise UnsupportedFormula(f"no unary translation for {formula}")
 
 
-def _sentence(formula: fo.Formula) -> xp.NodeExpr:
+def _sentence(formula: fo.Formula, booleans: bool) -> xp.NodeExpr:
     """A sentence as a node expression: all nodes if true, none otherwise."""
     if isinstance(formula, fo.TrueFormula):
         return xp.TRUE
     if isinstance(formula, fo.Eq) and formula.left == formula.right:
         return xp.TRUE
     if isinstance(formula, fo.Not):
-        return xp.Not(_sentence(formula.operand))
+        return xp.Not(_sentence(formula.operand, booleans))
     if isinstance(formula, fo.And):
-        return xp.And(_sentence(formula.left), _sentence(formula.right))
+        return xp.And(
+            _sentence(formula.left, booleans), _sentence(formula.right, booleans)
+        )
     if isinstance(formula, fo.Or):
-        return xp.Or(_sentence(formula.left), _sentence(formula.right))
+        return xp.Or(
+            _sentence(formula.left, booleans), _sentence(formula.right, booleans)
+        )
     if isinstance(formula, fo.Exists):
         # ∃z ψ(z) holds globally iff from anywhere we can reach a ψ-node.
-        inner = _node(formula.body, formula.var)
+        inner = _node(formula.body, formula.var, booleans)
         return xp.Exists(xp.Seq(ANY_PAIR, xp.Check(inner)))
     if isinstance(formula, fo.Forall):
-        return xp.Not(_sentence(fo.Exists(formula.var, nnf(fo.Not(formula.body)))))
+        negated = fo.Exists(formula.var, nnf(fo.Not(formula.body)))
+        return xp.Not(_sentence(negated, booleans))
     raise UnsupportedFormula(f"no sentence translation for {formula}")

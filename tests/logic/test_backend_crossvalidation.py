@@ -21,12 +21,15 @@ from repro.logic import (
     formula_node_set,
     formula_pairs,
     holds,
+    parse_formula,
     satisfying_table,
 )
 from repro.logic.random_formulas import FormulaSampler, random_formula
 from repro.translations import xpath_to_mtc
 from repro.trees import random_tree
-from repro.xpath import parse_node, parse_path
+from repro.xpath import Evaluator, parse_node, parse_path
+from repro.xpath.fragments import Dialect
+from repro.xpath.random_exprs import random_node
 
 
 class TestDispatch:
@@ -145,3 +148,68 @@ class TestTranslationImagesAgree:
             assert formula_pairs(tree, formula, "x", "y") == formula_pairs(
                 tree, formula, "x", "y", backend="bitset"
             )
+
+
+def _binary_tables(checker) -> list:
+    """The cached bitset tables with two or more columns."""
+    return [t for t in checker._bcache.values() if len(t.columns) >= 2]
+
+
+class TestSemiJoinShapes:
+    """Which formulas the bitset checker answers by semi-joins on node masks
+    (guarded ``∃`` as axis pre-images, parameter-free ``[TC]`` as one
+    frontier sweep) instead of binary tables."""
+
+    #: The serving pool's ``check`` formulas (perfbench's hot and cold pools).
+    POOL = [
+        "a(x) & exists y. child(x,y) & b(y)",
+        "exists x. exists y. tc[u,v](child(u,v) | right(u,v))(x,y) & c(x) & d(y)",
+        "exists x. a(x) & leaf(x)",
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), budget=st.integers(1, 10), size=st.integers(1, 20))
+    def test_core_xpath_images_take_the_semijoin(self, seed, budget, size):
+        rng = random.Random(seed)
+        expr = random_node(budget, rng=rng, dialect=Dialect.CORE)
+        formula = xpath_to_mtc(expr)
+        tree = random_tree(size, rng=rng)
+        checker = ModelChecker(tree, backend="bitset")
+        answer = checker.node_set(formula, "x")
+        assert answer == formula_node_set(tree, formula, "x")
+        assert answer == Evaluator(tree, "sets").nodes(expr)
+        assert not _binary_tables(checker)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), budget=st.integers(1, 10), size=st.integers(1, 20))
+    def test_regular_xpath_images_agree(self, seed, budget, size):
+        # A [TC] nested between the variables of another [TC]'s body (as in
+        # ancestor*) keeps the binary algebra, so only answers are compared.
+        rng = random.Random(seed)
+        expr = random_node(budget, rng=rng, dialect=Dialect.REGULAR)
+        formula = xpath_to_mtc(expr)
+        tree = random_tree(size, rng=rng)
+        answer = formula_node_set(tree, formula, "x", backend="bitset")
+        assert answer == formula_node_set(tree, formula, "x")
+        assert answer == Evaluator(tree, "sets").nodes(expr)
+
+    @pytest.mark.parametrize("text", POOL)
+    def test_serving_pool_formulas(self, text):
+        formula = parse_formula(text)
+        tree = random_tree(512, alphabet=("a", "b", "c", "d"), rng=random.Random(512))
+        checker = ModelChecker(tree, backend="bitset")
+        oracle = ModelChecker(tree, backend="table")
+        if fo.free_variables(formula):
+            assert checker.node_set(formula, "x") == oracle.node_set(formula, "x")
+        else:
+            assert checker.holds(formula) == oracle.holds(formula)
+        assert not _binary_tables(checker)
+
+    def test_outside_the_grammar_keeps_binary_tables(self):
+        # A path intersection has no semi-join: the join/project algebra
+        # (binary tables) answers it, and still agrees with the oracle.
+        formula = parse_formula("exists y. child(x,y) & descendant(x,y)")
+        tree = random_tree(30, rng=random.Random(3))
+        checker = ModelChecker(tree, backend="bitset")
+        assert checker.node_set(formula, "x") == formula_node_set(tree, formula, "x")
+        assert _binary_tables(checker)

@@ -1,8 +1,11 @@
 """FO(MTC) model-checker tests (relational evaluation + TC semantics)."""
 
+import random
+
 import pytest
 
 from repro.logic import (
+    CHECKER_BACKENDS,
     ModelChecker,
     ast as fo,
     formula_node_set,
@@ -10,7 +13,8 @@ from repro.logic import (
     holds,
     parse_formula,
 )
-from repro.trees import Tree, chain
+from repro.trees import Tree, chain, random_tree
+from repro.xpath import Evaluator, parse_node
 
 
 class TestAtoms:
@@ -36,6 +40,16 @@ class TestAtoms:
     def test_root_leaf_sugar(self, mixed_tree):
         assert formula_node_set(mixed_tree, parse_formula("root(x)"), "x") == {0}
         assert formula_node_set(mixed_tree, parse_formula("leaf(x)"), "x") == {1, 3, 4, 5, 7}
+
+    @pytest.mark.parametrize("backend", CHECKER_BACKENDS)
+    @pytest.mark.parametrize("macro", ["first", "last"])
+    def test_first_last_sugar_match_xpath(self, mixed_tree, macro, backend):
+        formula = parse_formula(f"{macro}(x)")
+        trees = [mixed_tree, chain(4)]
+        trees += [random_tree(n, rng=random.Random(n)) for n in (1, 7, 30)]
+        for tree in trees:
+            expected = Evaluator(tree, backend="sets").nodes(parse_node(macro))
+            assert formula_node_set(tree, formula, "x", backend=backend) == expected
 
 
 class TestConnectivesAndQuantifiers:

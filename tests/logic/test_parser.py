@@ -46,6 +46,15 @@ class TestParsing:
         assert parse_formula("root(x)") == fo.root_formula("x")
         assert parse_formula("leaf(x)") == fo.leaf_formula("x")
 
+    def test_first_last_sugar(self):
+        assert parse_formula("first(x)") == fo.first_formula("x")
+        assert parse_formula("last(y)") == fo.last_formula("y")
+        assert parse_formula("last(y)") == fo.Not(
+            fo.Exists("_s", fo.Rel("right", "y", "_s"))
+        )
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("exists last. a(last)")  # a keyword, not a variable
+
     @pytest.mark.parametrize(
         "text",
         ["", "a(x", "child(x)", "exists . a(x)", "tc[u](a(u))(x,y)", "a(x) &", "exists child. true"],

@@ -7,6 +7,8 @@ exercises every constructor of the compositional fragment.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from repro.translations import (
     xpath_to_mtc,
 )
 from repro.trees import random_tree
-from repro.xpath import node_set, parse_node, path_pairs
+from repro.xpath import ast as xp, node_set, parse_node, path_pairs
 from repro.xpath.fragments import Dialect
 from repro.xpath.random_exprs import ExprSampler
 
@@ -129,3 +131,39 @@ class TestFragmentBoundary:
     def test_same_variable_pair_rejected(self):
         with pytest.raises(ValueError):
             mtc_to_path_expr(parse_formula("a(x)"), "x", "x")
+
+
+class TestConcurrentTranslation:
+    def test_path_booleans_flag_is_per_call(self):
+        """Two threads translate the same path intersection, one with
+        ``allow_path_booleans``: each must see only its own flag."""
+        formula = parse_formula("child(x,y) & descendant(x,y)")
+        rounds = 5000
+        wrong = {True: 0, False: 0}  # each thread writes only its own key
+
+        def translate(allow: bool) -> None:
+            for _ in range(rounds):
+                try:
+                    result = mtc_to_path_expr(
+                        formula, "x", "y", allow_path_booleans=allow
+                    )
+                    ok = allow and isinstance(result, xp.Intersect)
+                except UnsupportedFormula:
+                    ok = not allow
+                wrong[allow] += not ok
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=translate, args=(allow,))
+                for allow in (True, False)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == {True: 0, False: 0}
