@@ -1,13 +1,13 @@
 """Experiment S1 — disk-backed store: pack, cold load, warm hit.
 
-The store trades resident memory for an mmap read on first touch, so the
+The store trades resident memory for a file read on first touch, so the
 numbers that matter are the three points of that trade:
 
-* ``pack`` — serializing a ``TreeIndex`` into an RSTR v1 blob and
-  renaming it into place (the write-through cost a mutation pays);
-* ``cold`` — :meth:`TreeStore.load`: map the file, CRC-verify the whole
-  frame, rebuild the index views (the price of the first touch after an
-  eviction), handle released every round so each load is genuinely cold;
+* ``pack`` — serializing a ``TreeIndex`` into an RSTR v2 blob, fsyncing
+  it and renaming it into place (the write-through cost a mutation pays);
+* ``cold`` — :meth:`TreeStore.load`: read the file, CRC-verify the whole
+  frame, rebuild the tree and index (the price of the first touch after
+  an eviction); each round reads the file afresh, so every load is cold;
 * ``warm`` — :meth:`TreeRegistry.get` on a resident tree (the steady
   state the LRU tier is supposed to keep hot paths at).
 
@@ -29,7 +29,6 @@ import pytest
 
 from repro.service import TreeRegistry
 from repro.trees import TreeStore, tree_index
-from repro.trees.store import release_tree
 
 SIZES = (128, 512, 2048)
 
@@ -68,15 +67,9 @@ def test_pack(benchmark, workload_trees, packed_store, size):
 
 @pytest.mark.parametrize("size", SIZES)
 def test_cold_load(benchmark, packed_store, size):
-    """S1 cold arm: mmap + full-frame CRC verify + index reconstruction."""
+    """S1 cold arm: file read + full-frame CRC verify + index reconstruction."""
     benchmark.group = f"S1 n={size}"
-
-    def load_and_release():
-        tree, epoch = packed_store.load(f"n{size}")
-        release_tree(tree)
-        return epoch
-
-    assert benchmark(load_and_release) == 1
+    assert benchmark(lambda: packed_store.load(f"n{size}")[1]) == 1
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -95,4 +88,3 @@ def test_loaded_trees_agree_on_the_bench_grid(workload_trees, packed_store):
         loaded, epoch = packed_store.load(f"n{size}")
         assert epoch == 1
         assert loaded == tree, size
-        release_tree(loaded)

@@ -16,7 +16,9 @@ the committed ``BENCH_*.json`` files use the compact schema produced here:
 * a **speedups** table pairing the ``bitset`` engine against its row-wise
   reference (``sets`` or ``table``) at equal parameters, since that ratio is
   the headline number of the C1/C3 experiment rows;
-* a trimmed machine/python fingerprint.
+* a trimmed machine/python fingerprint, with the git commit the run
+  measured (``git_sha``; ``git_dirty`` when the working tree had
+  uncommitted changes).
 
 The :func:`compact` transform is applied automatically to fresh runs through
 the ``pytest_benchmark_update_json`` hook in ``benchmarks/conftest.py``, so
@@ -95,6 +97,7 @@ def _annotate_scaling(points: list[dict]) -> None:
 def compact(raw: dict) -> dict:
     """Transform a raw pytest-benchmark export into the compact schema."""
     machine = raw.get("machine_info", {})
+    commit = raw.get("commit_info") or {}
     series: dict[str, dict] = {}
     for bench in raw.get("benchmarks", ()):
         test = _series_key(bench)
@@ -152,6 +155,8 @@ def compact(raw: dict) -> dict:
             "python_version": machine.get("python_version"),
             "cpu": (machine.get("cpu") or {}).get("brand_raw"),
             "cpu_count": (machine.get("cpu") or {}).get("count"),
+            "git_sha": commit.get("id"),
+            "git_dirty": commit.get("dirty"),
         },
         "series": sorted(series.values(), key=lambda entry: entry["test"]),
         "speedups": speedups,

@@ -218,14 +218,12 @@ def store_section(args, reps: int) -> list[str]:
     registry differs — plain in-memory vs store-backed with an ample
     resident budget, every tree faulted in up front.  The ratio therefore
     isolates what the LRU bookkeeping costs on the hot path.  The cold-load
-    row re-reads one tree from disk per repetition (handle released each
-    time) purely for scale.
+    row re-reads one tree from disk per repetition purely for scale.
     """
     import tempfile
     from pathlib import Path
 
     from repro.trees import TreeStore, tree_index
-    from repro.trees.store import release_tree
 
     size = 256 if args.quick else 512
     batch = 48 if args.quick else 96
@@ -256,11 +254,7 @@ def store_section(args, reps: int) -> list[str]:
             reps,
         )
 
-    def cold_load():
-        tree, _ = store.load("bushy")
-        release_tree(tree)
-
-    cold_t = median_seconds(cold_load, reps)
+    cold_t = median_seconds(lambda: store.load("bushy"), reps)
     overhead_pct = (ratio - 1.0) * 100.0
     header = (
         f"{'disk-backed store':<22} {'in-memory':>12} {'store-warm':>12} "

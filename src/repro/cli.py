@@ -37,7 +37,7 @@ Commands:
   rolling window) with their fault arms re-delivered, and their in-flight
   requests are re-dispatched instead of failing.  ``--store DIR`` attaches the
   disk-backed index store: registered trees are packed to compact RSTR
-  files, cold trees mmap back in on first touch, and ``--resident-budget
+  files, cold trees are read back in on first touch, and ``--resident-budget
   BYTES`` bounds the resident set with LRU eviction so a corpus much
   larger than memory stays serveable;
 * ``store pack DIR --tree NAME=FILE.xml ...`` — pack XML documents into a
@@ -640,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run N shard processes that mmap tree indexes from the --store "
+        help="run N shard processes that load tree indexes from the --store "
         "DIR (or a scratch store under /dev/shm) instead of in-process "
         "threads (0, the default, keeps the thread pool); --workers then "
         "means worker threads per shard",
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="DIR",
         help="disk-backed index store: pack registered trees to compact "
-        "RSTR files in DIR and mmap cold trees back on demand "
+        "RSTR files in DIR and read cold trees back on demand "
         "(see 'repro store pack/verify')",
     )
     p.add_argument(

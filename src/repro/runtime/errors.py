@@ -175,8 +175,7 @@ class TreeShareError(ReproError):
     decode.
 
     Raised by the section codec (:mod:`repro.trees.share`) when a section
-    is missing, has the wrong length, or does not encode a valid tree, and
-    by a lazy mask read after its backing file was unmapped.  The store
+    is missing, has the wrong length, or does not encode a valid tree.  The store
     wraps decode failures in :class:`StoreCorruptError`; either way a
     damaged index fails loudly instead of reconstructing wrong masks and
     silently returning wrong query answers.
@@ -184,7 +183,7 @@ class TreeShareError(ReproError):
 
 
 class StoreCorruptError(ReproError):
-    """An on-disk store file (RSTR v1) failed validation.
+    """An on-disk store file (RSTR v2) failed validation.
 
     Raised by :mod:`repro.trees.store` when a stored tree's magic, version,
     declared size (a truncated tail), table checksum, or any per-section

@@ -26,7 +26,7 @@ The pieces, each in its own module:
 * :class:`QueryService` (:mod:`~repro.service.workers`) — the worker
   pool tying it together;
 * :class:`ShardedQueryService` (:mod:`~repro.service.shards`) — the
-  multiprocess tier: shard processes that mmap trees read-only from the
+  multiprocess tier: shard processes that load trees read-only from the
   registry's store (a scratch one on tmpfs when it has none), same API,
   true multi-core scaling (pass ``--shards`` to ``repro batch``);
 * :class:`ShardSupervisor` (:mod:`~repro.service.supervisor`) — parent-

@@ -344,7 +344,7 @@ class TreeRegistry:
         and the registry evicts down to ``resident_budget`` if one is set.
 
         ``readonly`` marks a registry that must never write store files —
-        the shard processes attach this way, mmapping the parent's files
+        the shard processes attach this way, reading the parent's files
         directly while the parent remains the single writer.  All packing
         happens under the mutation lock, so writers never race on a file.
         """
@@ -521,7 +521,7 @@ class TreeRegistry:
         valid for any reader still holding it.  The caller must hold its
         own reference to the tree until it has released ``_lock``: trees
         are freed by reference counting, and freeing a generation (index,
-        plans, store mapping) must not stall every pin and lookup.
+        plans, tables) must not stall every pin and lookup.
         """
         del self._trees[name]
         cost = self._lru.pop(name, 0)

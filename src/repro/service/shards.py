@@ -13,15 +13,15 @@ How the pieces fit:
   store the service attaches in a fresh ``repro-shards-*`` directory under
   ``/dev/shm`` (the platform temp dir where that is missing) and removes at
   shutdown, close and interpreter exit.  Each shard attaches the store
-  read-only and mmaps a tree's RSTR file on first touch: no pickled trees
-  cross a pipe, and tmpfs pages are shared by every shard.
+  read-only and reads a tree's RSTR file (about 0.1 MB at n=2048) on first
+  touch: no pickled trees cross a pipe.
 * **Routing** — requests naming a registered tree go to
   ``crc32(tree) % shards`` (all requests for one document hit one shard, so
   its compiled-plan caches stay hot); inline-``xml`` and ``equivalent``
   requests round-robin.  Only the small request dict crosses the pipe —
   plan *keys*, never plans: each shard parses a hot query once (the local
   service's plan cache) and compiles it once per tree (the structural
-  caches on the mapped ``TreeIndex``).
+  caches on the loaded ``TreeIndex``).
 * **Per-shard PR 3–5 semantics** — each shard process runs a full local
   :class:`QueryService`: per-request
   :class:`~repro.runtime.budget.ExecutionBudget` deadlines (the parent
@@ -192,7 +192,7 @@ def _shard_main(shard_id, request_q, result_conn, config) -> None:
     base_state = obs.REGISTRY.snapshot()
 
     # Read-only: the parent is the single store writer (it packs before it
-    # publishes an epoch), so a shard never races it on a file; trees mmap
+    # publishes an epoch), so a shard never races it on a file; trees load
     # straight from the store on first touch, under this shard's own
     # resident budget, and stamped reads refresh stale copies from it.
     registry = TreeRegistry()
@@ -640,8 +640,14 @@ class ShardedQueryService:
         shard means *wait* (the supervisor is respawning it; bounded by the
         job's deadline and service shutdown), an unsupervised one means the
         classic fail-fast crashed result, and a failed shard resolves with
-        the terminal unavailable error.  The request queue handle is
-        re-read after the aliveness check because respawn swaps it.
+        the terminal unavailable error.
+
+        The last aliveness check, the ``_pending`` insert and the read of
+        the request queue are one critical section under ``_pending_lock``,
+        the lock ``_mark_dead``'s sweep takes after setting ``_dead``:
+        either the sweep collects this job, or this sees the shard dead.
+        A queue read while the shard is alive is the current one, because
+        a respawn swaps the queue before it clears ``_dead``.
         """
         semaphore = self._inflight[shard]
         while True:
@@ -672,13 +678,20 @@ class ShardedQueryService:
             payload = self._wire_payload(job)
             seq = next(self._seq)
             with self._pending_lock:
-                self._pending[seq] = job
-            request_q = self._request_qs[shard]
+                dead = self._dead[shard]
+                if not dead:
+                    self._pending[seq] = job
+                    request_q = self._request_qs[shard]
+            if dead:  # died while the payload was built
+                semaphore.release()
+                continue
             try:
                 request_q.put(("req", seq, payload))
             except Exception:
                 with self._pending_lock:
-                    self._pending.pop(seq, None)
+                    swept = self._pending.pop(seq, None) is None
+                if swept:
+                    return  # the death sweep took the job and its slot
                 semaphore.release()
                 self._mark_dead(shard)
                 continue  # supervised: retry after respawn; else resolve above
@@ -975,21 +988,28 @@ class ShardedQueryService:
                     stale, self._shed_result(stale, "deadline passed while queued")
                 )
             return
+        payload = self._wire_payload(job)
         seq = next(self._seq)
-        with self._pending_lock:
-            self._pending[seq] = job
-        try:
-            self._request_qs[shard].put(("req", seq, self._wire_payload(job)))
-        except Exception:  # pragma: no cover - replacement died instantly
-            with self._pending_lock:
-                self._pending.pop(seq, None)
-            self._inflight[shard].release()
-            self._mark_dead(shard)
-            # The job left _pending before _mark_dead could strand-collect
-            # it: hand it back explicitly so it is never silently dropped.
-            supervisor = self._supervisor
-            if not (supervisor is not None and supervisor.notify_death(shard, [job])):
-                self._finish_local(job, self._crashed_result(job))
+        with self._pending_lock:  # one critical section with the sweep
+            dead = self._dead[shard]
+            if not dead:
+                self._pending[seq] = job
+                request_q = self._request_qs[shard]
+        if not dead:
+            try:
+                request_q.put(("req", seq, payload))
+                return
+            except Exception:  # pragma: no cover - replacement died instantly
+                with self._pending_lock:
+                    if self._pending.pop(seq, None) is None:
+                        return  # the death sweep took the job and its slot
+        self._inflight[shard].release()
+        self._mark_dead(shard)
+        # The job is not in _pending, so no sweep can strand-collect it:
+        # hand it back explicitly so it is never silently dropped.
+        supervisor = self._supervisor
+        if not (supervisor is not None and supervisor.notify_death(shard, [job])):
+            self._finish_local(job, self._crashed_result(job))
 
     # -- chaos -------------------------------------------------------------
 

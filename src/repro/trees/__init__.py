@@ -7,8 +7,8 @@ Public surface:
 * :func:`parse_xml` / :func:`to_xml` — XML in and out.
 * the workload generators (:func:`random_tree`, :func:`all_trees`, shaped
   families).
-* :class:`TreeStore` — the on-disk (RSTR v1) index store with mmap-backed
-  loading.
+* :class:`TreeStore` — the on-disk (RSTR v2) index store, one checksummed
+  file per tree.
 """
 
 from .axes import (
@@ -45,8 +45,7 @@ from .mutate import (
     edit_to_json,
 )
 from .node import Node
-from .share import MaskSlab
-from .store import StoreHandle, TreeStore, index_nbytes, pack_bytes, release_tree
+from .store import TreeStore, index_nbytes, pack_bytes
 from .tree import Tree
 from .wal import WriteAheadLog, recover_registry, tree_digest
 from .xml_io import XmlReadOptions, XmlSyntaxError, parse_xml, to_xml
@@ -56,20 +55,17 @@ __all__ = [
     "CLOSURE_BASE",
     "DeleteSubtree",
     "InsertSubtree",
-    "MaskSlab",
     "Relabel",
     "PRIMITIVE_AXES",
     "TRANSITIVE_AXES",
     "Node",
     "Scope",
-    "StoreHandle",
     "Tree",
     "TreeIndex",
     "TreeStore",
     "WriteAheadLog",
     "index_nbytes",
     "pack_bytes",
-    "release_tree",
     "XmlReadOptions",
     "XmlSyntaxError",
     "all_shapes",

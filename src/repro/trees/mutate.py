@@ -14,15 +14,16 @@ subtree edit touches exactly one contiguous id range ``[pos, pos + k)``:
   of the edit parent and the edit site's siblings are patched there), take
   the inserted subtree's arrays offset by ``pos``, and shift the suffix by
   ``±k``; a relabel copies the label column and shares every other tuple;
-* below the splice point the index's per-node tables (``after``,
-  ``children_of``) change only on the ancestor chain, and past it every
-  entry shifts whole;
+* below the splice point the index's per-node ``after`` table changes
+  only on the ancestor chain, and past it every entry shifts whole;
 * every big-int node-set mask updates by a **shift + splice** —
   ``(m & low) | ((m & ~low) << k)`` on insert and
-  ``(m & low) | ((m >> k) & ~low)`` on delete, with ``low = prefix[pos]``
-  (Python's infinite-precision ``~low`` makes the high part exact);
-* the ``prefix`` table — the only O(n²)-bit structure — is extended or
-  truncated, never rebuilt;
+  ``(m & low) | ((m >> k) & ~low)`` on delete, with
+  ``low = (1 << pos) - 1`` (Python's infinite-precision ``~low`` makes the
+  high part exact);
+* the index holds no per-node mask table: a parent's children mask is
+  derived lazily from ``after`` and ``next_sibling``, so nothing past the
+  splice point needs more than an integer shift;
 * subtree sizes (the ``after`` table and the size-keyed ``sib_groups`` /
   ``last_child_groups``) change only on the **ancestor chain** of the edit
   parent, so those tables repair in O(depth) group moves;
@@ -226,8 +227,8 @@ def apply_edit_indexed(tree: Tree, edit) -> Tree:
 
 def _ancestor_chain(tree: Tree, node: int):
     """Ancestors-or-self of ``node``: below the splice point, the only
-    nodes whose subtree size, ``after``, children mask, last child or next
-    sibling can change (any other node there ends before the splice)."""
+    nodes whose subtree size, ``after``, last child or next sibling can
+    change (any other node there ends before the splice)."""
     chain = []
     u = node
     while u >= 0:
@@ -237,16 +238,6 @@ def _ancestor_chain(tree: Tree, node: int):
     for u in chain:
         mask |= 1 << u
     return chain, mask
-
-
-def _in_memory(table):
-    """``table`` as a list: shared when it already is one, else read out.
-
-    A store-loaded index's ``prefix``/``children_of`` are lazy slabs over
-    the old generation's mapping, which closes when that generation is
-    freed — a new generation must never keep reading through them.
-    """
-    return table if isinstance(table, list) else list(table)
 
 
 def _relabel_indexed(tree: Tree, old: TreeIndex, edit: Relabel):
@@ -276,13 +267,11 @@ def _relabel_indexed(tree: Tree, old: TreeIndex, edit: Relabel):
             del label_masks[old_label]
         label_masks[edit.label] = label_masks.get(edit.label, 0) | bit
     # ...and so does the index, every table being read-only after
-    # construction — except lazy store views, which die with the old tree.
+    # construction.
     index = TreeIndex._from_parts(
         new_tree,
-        prefix=_in_memory(old.prefix),
         label_masks=label_masks,
         after=old.after,
-        children_of=_in_memory(old.children_of),
         delta_groups=old.delta_groups,
         sib_groups=old.sib_groups,
         leaf_mask=old.leaf_mask,
@@ -302,7 +291,7 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
     P = edit.parent
     kids = tree.children_ids(P)
     j = edit.index
-    low = old.prefix[pos]
+    low = (1 << pos) - 1
     chain, chain_mask = _ancestor_chain(tree, P)
 
     def up(mask: int) -> int:
@@ -371,14 +360,6 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
 
     # -- index tables: below pos only chain entries change; the suffix
     # shifts whole.
-    prefix = _in_memory(old.prefix)
-    mask = prefix[n]
-    extension = []
-    for _ in range(k):
-        mask = (mask << 1) | 1
-        extension.append(mask)
-    prefix = prefix + extension  # a new list: the old one may be shared
-
     after = old.after[:pos]
     for u in chain:
         after[u] += k
@@ -390,14 +371,6 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
         label_masks[label] = up(m)
     for label, m in subidx.label_masks.items():
         label_masks[label] = label_masks.get(label, 0) | (m << pos)
-
-    old_children = _in_memory(old.children_of)
-    children_of = old_children[:pos]
-    for u in chain:
-        children_of[u] = up(children_of[u])
-    children_of[P] |= 1 << pos
-    children_of += [m << pos for m in subidx.children_of]
-    children_of += [m << k for m in old_children[pos:]]
 
     root_bit = 1 << pos
     leaf_mask = (up(old.leaf_mask) | (subidx.leaf_mask << pos)) & ~(1 << P)
@@ -419,7 +392,7 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
     for d, g in old.delta_groups:
         below = g & low
         bound = pos + d if pos + d < n else n
-        straddle = old.prefix[bound] ^ low
+        straddle = (1 << bound) - (1 << pos)
         mid = g & straddle
         high = g & ~low & ~straddle
         if below:
@@ -473,10 +446,8 @@ def _insert_indexed(tree: Tree, old: TreeIndex, edit: InsertSubtree):
 
     index = TreeIndex._from_parts(
         new_tree,
-        prefix=prefix,
         label_masks=label_masks,
         after=after,
-        children_of=children_of,
         delta_groups=delta_groups,
         sib_groups=sib_groups,
         leaf_mask=leaf_mask,
@@ -494,8 +465,8 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
     n = old.n
     P = tree.parent[x]
     end = x + k
-    low = old.prefix[x]
-    interval = old.prefix[end] ^ low  # the deleted id range [x, x+k)
+    low = (1 << x) - 1
+    interval = (1 << end) - (1 << x)  # the deleted id range [x, x+k)
     chain, chain_mask = _ancestor_chain(tree, P)
     prev_sib = tree.prev_sibling[x]
     next_sib = tree.next_sibling[x]
@@ -555,8 +526,6 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
 
     # -- index tables: below x only chain entries change; the survivors
     # past the interval shift whole.
-    prefix = _in_memory(old.prefix)[: n - k + 1]
-
     after = old.after[:x]
     for u in chain:
         after[u] -= k
@@ -567,12 +536,6 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
         m = down(m)
         if m:
             label_masks[label] = m
-
-    old_children = _in_memory(old.children_of)
-    children_of = old_children[:x]
-    for u in chain:
-        children_of[u] = down(children_of[u])
-    children_of += [m >> k for m in old_children[end:]]
 
     leaf_mask = down(old.leaf_mask)
     first_mask = down(old.first_mask)
@@ -594,7 +557,7 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
             continue
         below = g & low
         bound = x + d if x + d < n else n
-        straddle = old.prefix[bound] ^ low
+        straddle = (1 << bound) - (1 << x)
         mid = g & straddle
         high = g & ~low & ~straddle
         if below:
@@ -633,10 +596,8 @@ def _delete_indexed(tree: Tree, old: TreeIndex, edit: DeleteSubtree):
 
     index = TreeIndex._from_parts(
         new_tree,
-        prefix=prefix,
         label_masks=label_masks,
         after=after,
-        children_of=children_of,
         delta_groups=delta_groups,
         sib_groups=sib_groups,
         leaf_mask=leaf_mask,
@@ -784,20 +745,19 @@ def tree_fingerprint(tree: Tree) -> dict:
 
 
 def index_fingerprint(index: TreeIndex) -> dict:
-    """Every precomputed table of an index, as plain comparable values.
+    """Every stored table of an index, as plain comparable values.
 
     Two indexes over equal trees must produce identical fingerprints —
     this is the bit-exactness contract the incremental maintenance is
     property-tested against (oracle: ``TreeIndex(tree)`` from scratch).
+    Lazily derived state is left out: the children masks follow from
+    ``after`` here and the tree's ``next_sibling`` (``tree_fingerprint``).
     """
-    n = index.n
     return {
-        "n": n,
+        "n": index.n,
         "full": index.full,
-        "prefix": [index.prefix[i] for i in range(n + 1)],
         "label_masks": dict(index.label_masks),
         "after": list(index.after),
-        "children_of": [index.children_of[v] for v in range(n)],
         "delta_groups": [tuple(item) for item in index.delta_groups],
         "sib_groups": [tuple(item) for item in index.sib_groups],
         "last_child_groups": [tuple(item) for item in index.last_child_groups],

@@ -2,13 +2,13 @@
 
 The section codec (:mod:`repro.trees.share`) flattens a tree plus its
 :class:`~repro.trees.index.TreeIndex` into self-describing columnar
-sections — pre/post-order interval arrays, label-partitioned masks, and
-the lazy quadratic ``MaskSlab`` families.  This module gives that
-representation a durable home so the servable corpus is no longer capped
-at RAM: a :class:`TreeStore` is a directory of one **RSTR v1** file per
-named tree, written atomically and read back through ``mmap`` so a cold
-tree's index views the file pages directly without materializing node
-objects or copying the payload.  It is also the only way trees reach the
+sections — pre/post-order interval arrays and label-, offset- and
+size-partitioned masks.  This module gives that representation a durable
+home so the servable corpus is no longer capped at RAM: a
+:class:`TreeStore` is a directory of one **RSTR v2** file per named tree
+(about 0.1 MB at n=2048), written atomically and read back whole, so a
+cold tree's index is rebuilt from flat buffers without parsing or
+materializing node objects.  It is also the only way trees reach the
 sharded service's shard processes, which attach a store read-only.
 
 File layout (all integers little-endian)::
@@ -32,34 +32,28 @@ framing:
   localized in error messages and every check runs *before* any mask is
   reconstructed.
 
-:meth:`TreeStore.load` verifies the magic, version, declared size (a
-truncated tail fails here), table checksum, and every section's bounds and
-CRC eagerly, raising :class:`~repro.runtime.errors.StoreCorruptError` on
-any mismatch — a flipped bit on disk must fail loudly, never surface as a
-wrong query answer.  Only after the file fully validates are the sections
-handed to the shared reader; the quadratic ``CHILDREN``/``PREFIX``
-families stay lazy ``MaskSlab`` views over the mapping, so pages are
-touched once for the CRC sweep and then only for the masks a workload
-actually uses.
+:meth:`TreeStore.load` reads the file and verifies the magic, version,
+declared size (a truncated tail fails here), table checksum, and every
+section's bounds and CRC eagerly, raising
+:class:`~repro.runtime.errors.StoreCorruptError` on any mismatch — a
+flipped bit on disk must fail loudly, never surface as a wrong query
+answer.  Only after the file fully validates are the sections handed to
+the shared reader, which builds every table eagerly: a loaded tree holds
+no view of the file, so its lifetime is that of any other tree.  A
+version 1 file (which also carried two quadratic mask tables) is refused
+with the same typed version error as any other version skew; re-pack it
+from its source document.
 
 Writes are crash-safe: :meth:`TreeStore.pack` writes to a temporary file
 in the same directory, fsyncs it, and renames it into place with
 ``os.replace``, so a reader never observes a half-written store file.
-
-Lifecycle: a loaded tree keeps its mapping open through a
-:class:`StoreHandle` (``tree._store_handle``).  Dropping the tree drops
-the handle and the mapping with it; :func:`release_tree` closes it
-eagerly, and :func:`close_open_handles` sweeps every live handle (the
-test-suite isolation hook).
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import time
-import weakref
 import zlib
 from pathlib import Path
 
@@ -70,28 +64,16 @@ from .index import TreeIndex, tree_index
 from .share import _REQUIRED_TAGS, build_sections, tree_from_sections
 from .tree import Tree
 
-__all__ = [
-    "FORMAT_VERSION",
-    "MAGIC",
-    "StoreHandle",
-    "TreeStore",
-    "close_open_handles",
-    "index_nbytes",
-    "open_handles",
-    "release_tree",
-]
+__all__ = ["FORMAT_VERSION", "MAGIC", "TreeStore", "index_nbytes"]
 
 MAGIC = b"RSTR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # magic, version, reserved, n, sections, epoch, size, table crc
 _HEADER = struct.Struct("<4sHHIIQQI")
 _ENTRY = struct.Struct("<IQQI")  # tag, offset, length, crc
 
 _SUFFIX = ".rstr"
-
-#: Every live mapping, for the test-suite sweep in ``close_open_handles``.
-_OPEN_HANDLES: "weakref.WeakSet[StoreHandle]" = weakref.WeakSet()
 
 #: Characters that map to themselves in store file names; anything else is
 #: percent-encoded so arbitrary registry names can't escape the directory.
@@ -125,15 +107,13 @@ def _decode_name(encoded: str) -> str:
 
 
 def index_nbytes(index: TreeIndex) -> int:
-    """The exact RSTR v1 file size for ``index``, in O(labels) time.
+    """The exact RSTR v2 file size for ``index``, in O(labels) time.
 
-    Pure arithmetic over the section encodings — no serialization and, in
-    particular, **no materialization** of the lazy ``CHILDREN``/``PREFIX``
-    mask families — so the registry can price a tree's residency without
-    defeating the laziness it is budgeting for.  (The same number prices a
-    resident in-memory index: the flat serialization *is* the columnar
-    content, so it is the honest apples-to-apples cost of keeping the tree
-    servable.)
+    Pure arithmetic over the section encodings — no serialization — so the
+    registry can price a tree's residency on every load and publish.  (The
+    same number prices a resident in-memory index: the flat serialization
+    *is* the columnar content, so it is the honest apples-to-apples cost
+    of keeping the tree servable.)
     """
     n = index.n
     width = (n + 7) // 8
@@ -145,8 +125,6 @@ def index_nbytes(index: TreeIndex) -> int:
         + 4 * n  # AFTER
         + 3 * width  # FLAG_MASKS
         + len(index.label_masks) * width  # LABEL_MASKS
-        + n * width  # CHILDREN
-        + (n + 1) * width  # PREFIX
     )
     for groups in (index.delta_groups, index.sib_groups, index.last_child_groups):
         payload += 4 + len(groups) * (4 + width)
@@ -154,7 +132,7 @@ def index_nbytes(index: TreeIndex) -> int:
 
 
 def pack_bytes(index: TreeIndex, epoch: int = 0) -> bytes:
-    """Serialize ``index`` to one RSTR v1 blob stamped with ``epoch``."""
+    """Serialize ``index`` to one RSTR v2 blob stamped with ``epoch``."""
     sections = build_sections(index)
     table = bytearray()
     payload = bytearray()
@@ -174,7 +152,7 @@ def pack_bytes(index: TreeIndex, epoch: int = 0) -> bytes:
 
 
 def _validate(view: memoryview, origin: str):
-    """Verify every RSTR v1 frame check; the parsed reader inputs.
+    """Verify every RSTR v2 frame check; the parsed reader inputs.
 
     Returns ``(entries, n, epoch)`` with ``entries`` mapping section tag
     to ``(offset, length)``.  Every check — header fields, declared
@@ -182,6 +160,8 @@ def _validate(view: memoryview, origin: str):
     before any content is interpreted, so a caller that gets a return
     value holds a fully verified frame.
     """
+    if not view:
+        raise StoreCorruptError(f"{origin}: store file is empty")
     if len(view) < _HEADER.size:
         raise StoreCorruptError(
             f"{origin}: too short for a store header "
@@ -226,76 +206,19 @@ def _validate(view: memoryview, origin: str):
     return entries, n, epoch
 
 
-class StoreHandle:
-    """Owns the ``mmap`` behind one loaded tree's index views.
-
-    Attached to the tree as ``tree._store_handle`` so the mapping lives
-    exactly as long as the tree object; :meth:`close` detaches the lazy
-    mask slabs first (already-materialized masks stay readable) and then
-    unmaps.  Eviction does **not** close handles — it just drops the
-    registry's reference, so any in-flight reader still pinning the tree
-    object keeps a valid mapping until the tree is garbage-collected.
-    """
-
-    __slots__ = ("name", "path", "_mmap", "_slabs", "__weakref__")
-
-    def __init__(self, name: str, path: Path, mapping: mmap.mmap, slabs):
-        self.name = name
-        self.path = path
-        self._mmap = mapping
-        self._slabs = tuple(slabs)
-
-    @property
-    def closed(self) -> bool:
-        return self._mmap is None
-
-    def close(self) -> None:
-        """Detach the slab views and unmap the file.  Idempotent."""
-        if self._mmap is None:
-            return
-        for slab in self._slabs:
-            slab.detach()
-        self._slabs = ()
-        try:
-            self._mmap.close()
-        except BufferError:  # pragma: no cover - an exported view survived
-            pass  # the mapping is reclaimed when the last view dies
-        self._mmap = None
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        self.close()
-
-
-def release_tree(tree: Tree) -> None:
-    """Eagerly close the store mapping behind a loaded tree, if any."""
-    handle = tree._store_handle
-    if handle is not None:
-        tree._store_handle = None
-        handle.close()
-
-
-def open_handles() -> list[StoreHandle]:
-    """The live (not yet closed) store mappings, for tests and debugging."""
-    return [h for h in _OPEN_HANDLES if not h.closed]
-
-
-def close_open_handles() -> int:
-    """Close every live store mapping; how many were open.
-
-    The test-suite isolation sweep: trees loaded during a test may still
-    be referenced from fixtures or caches, and their mappings pin the
-    (possibly tmp-dir) store files open.
-    """
-    count = 0
-    for handle in list(_OPEN_HANDLES):
-        if not handle.closed:
-            handle.close()
-            count += 1
-    return count
+def _decode(blob: bytes, origin: str) -> "tuple[Tree, int, int]":
+    """Every frame check, then the codec: ``(tree, epoch, sections)``."""
+    view = memoryview(blob)
+    entries, n, epoch = _validate(view, origin)
+    try:
+        tree = tree_from_sections(view, entries, n)
+    except TreeShareError as exc:
+        raise StoreCorruptError(f"{origin}: {exc}") from exc
+    return tree, epoch, len(entries)
 
 
 class TreeStore:
-    """A directory of RSTR v1 files, one per named tree.
+    """A directory of RSTR v2 files, one per named tree.
 
     The store is deliberately dumb — no manifest, no lock file: each tree
     is one atomically-replaced file whose name is the (percent-encoded)
@@ -404,13 +327,19 @@ class TreeStore:
 
     # -- read ----------------------------------------------------------------
 
+    def _read(self, name: str) -> "tuple[Path, bytes]":
+        path = self._path(name)
+        try:
+            return path, path.read_bytes()
+        except FileNotFoundError:
+            raise KeyError(name) from None
+
     def load(self, name: str) -> tuple[Tree, int]:
-        """Map ``name``'s store file and reconstruct its tree + index.
+        """Read ``name``'s store file and reconstruct its tree + index.
 
         Returns ``(tree, epoch)``.  The whole frame is CRC-verified before
-        any section is interpreted (see :func:`_validate`); the index's
-        quadratic mask families then view the mapping lazily, held open by
-        the :class:`StoreHandle` on ``tree._store_handle``.
+        any section is interpreted (see :func:`_validate`), and the tree
+        holds no reference to the file's bytes afterwards.
 
         Raises :class:`KeyError` when ``name`` is not stored and
         :class:`~repro.runtime.errors.StoreCorruptError` on any integrity
@@ -418,45 +347,13 @@ class TreeStore:
         here, before the file is opened.
         """
         faults.check("store.load")
-        path = self._path(name)
         start = time.perf_counter()
+        path, blob = self._read(name)
         try:
-            f = open(path, "rb")
-        except FileNotFoundError:
-            raise KeyError(name) from None
-        with f:
-            try:
-                mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            except ValueError as exc:  # zero-length file cannot be mapped
-                obs.counter("store_loads_total", event="corrupt").inc()
-                raise StoreCorruptError(
-                    f"{path.name}: store file is empty"
-                ) from exc
-        view = memoryview(mapping)
-        try:
-            entries, n, epoch = _validate(view, path.name)
-            try:
-                tree = tree_from_sections(view, entries, n)
-            except TreeShareError as exc:
-                raise StoreCorruptError(f"{path.name}: {exc}") from exc
-        except BaseException as exc:
-            if isinstance(exc, StoreCorruptError):
-                obs.counter("store_loads_total", event="corrupt").inc()
-            view.release()
-            try:
-                mapping.close()
-            except BufferError:  # pragma: no cover - view in a live frame
-                pass
+            tree, epoch, _ = _decode(blob, path.name)
+        except StoreCorruptError:
+            obs.counter("store_loads_total", event="corrupt").inc()
             raise
-        # Only the two lazy slab views may keep the mapping exported; the
-        # top-level view is released so close() can actually unmap.
-        view.release()
-        index = tree._engine_index
-        handle = StoreHandle(
-            name, path, mapping, (index.children_of, index.prefix)
-        )
-        tree._store_handle = handle
-        _OPEN_HANDLES.add(handle)
         obs.counter("store_loads_total", event="ok").inc()
         obs.histogram("store_load_seconds").observe(time.perf_counter() - start)
         return tree, epoch
@@ -464,28 +361,18 @@ class TreeStore:
     def verify(self, name: str) -> dict:
         """Fully check one stored tree; a report dict on success.
 
-        Runs every frame check *and* a structural reconstruction (the tree
-        is rebuilt from a private copy of the bytes, exercising the same
-        reader path as :meth:`load`), so a passing verify means the file
-        will serve.  Raises :class:`StoreCorruptError` on any failure and
-        :class:`KeyError` when absent.
+        Runs every frame check *and* a structural reconstruction through
+        the same reader path as :meth:`load`, so a passing verify means
+        the file will serve.  Raises :class:`StoreCorruptError` on any
+        failure and :class:`KeyError` when absent.
         """
-        path = self._path(name)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            raise KeyError(name) from None
-        view = memoryview(blob)
-        entries, n, epoch = _validate(view, path.name)
-        try:
-            tree_from_sections(view, entries, n)
-        except TreeShareError as exc:
-            raise StoreCorruptError(f"{path.name}: {exc}") from exc
+        path, blob = self._read(name)
+        tree, epoch, sections = _decode(blob, path.name)
         return {
             "name": name,
             "file": path.name,
             "bytes": len(blob),
-            "n": n,
+            "n": tree.size,
             "epoch": epoch,
-            "sections": len(entries),
+            "sections": sections,
         }

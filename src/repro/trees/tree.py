@@ -47,7 +47,6 @@ class Tree:
         "_shape",
         "_postorder",
         "_engine_index",
-        "_store_handle",
     )
 
     def __init__(self, labels: Sequence[str], parents: Sequence[int]):
@@ -142,9 +141,6 @@ class Tree:
         # Per-tree bitset index, built lazily by repro.trees.index and
         # shared by the XPath plans, the logic engine, and the automata.
         self._engine_index = None
-        # Set by repro.trees.store when this tree's index views a mapped
-        # store file; holds the mmap open for the tree's lifetime.
-        self._store_handle = None
 
     @classmethod
     def _spliced(cls, *arrays: tuple) -> "Tree":

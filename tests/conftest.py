@@ -84,23 +84,6 @@ def _fault_registry_isolation():
         faults.arm(site, times)
 
 
-@pytest.fixture(autouse=True)
-def _store_handle_isolation():
-    """Close any store mmap handles a test leaves open.
-
-    :mod:`repro.trees.store` tracks every live :class:`StoreHandle` in a
-    process-wide weak set so the suite can guarantee no test leaks an open
-    memory map of a (tmp-dir) store file into later tests.  The sweep
-    closes *all* live handles, so store-loaded trees must not be shared
-    across tests — store tests build per-test stores in tmp directories,
-    which is exactly what this fixture enforces.
-    """
-    yield
-    from repro.trees import store as _store
-
-    _store.close_open_handles()
-
-
 @pytest.fixture()
 def gc_disabled():
     """The cyclic garbage collector off for one test (refcounting only),

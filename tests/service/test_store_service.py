@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.service import (
     TreeRegistry,
 )
 from repro.trees import TreeStore, index_nbytes, parse_xml, tree_index
-from repro.trees.store import open_handles
 
 START_METHOD = os.environ.get("REPRO_START_METHOD", "fork")
 
@@ -420,58 +420,85 @@ class TestStampedRefresh:
         assert shard.epoch(name) <= writer.epoch(name) == 41
 
 
-class TestHandleHygiene:
-    def test_no_handle_leak_after_evict_cycle(self):
-        registry, _ = make_registry(budget_trees=1.5)
-        import gc
+def _ignore() -> None:
+    pass
 
+
+def probe(tree, on_free=_ignore) -> weakref.finalize:
+    """A finalizer probe on ``tree``'s index: alive until it is freed."""
+    return weakref.finalize(tree_index(tree), on_free)
+
+
+def probe_loads(monkeypatch, on_free=_ignore) -> list:
+    """A :func:`probe` on every tree any store loads from here on."""
+    probes = []
+    real_load = TreeStore.load
+
+    def load(self, name):
+        tree, epoch = real_load(self, name)
+        probes.append(probe(tree, on_free))
+        return tree, epoch
+
+    monkeypatch.setattr(TreeStore, "load", load)
+    return probes
+
+
+def resident_index_ids(registry) -> set:
+    return {
+        id(tree_index(registry._trees[name]))
+        for name in registry.resident_names()
+    }
+
+
+def alive_index_ids(probes) -> set:
+    return {id(probe.peek()[0]) for probe in probes if probe.alive}
+
+
+class TestHandleHygiene:
+    def test_no_handle_leak_after_evict_cycle(self, monkeypatch, gc_disabled):
+        # Only resident trees keep a loaded index alive; evicted trees'
+        # indexes die with their tree objects, without the collector.
+        registry, _ = make_registry(budget_trees=1.5)
+        probes = probe_loads(monkeypatch)
         for name in sorted(DOCS) * 3:
             registry.get(name)
-        gc.collect()
-        # At most the resident trees keep mappings open; evicted trees'
-        # handles die with their tree objects.
-        assert len(open_handles()) <= len(registry.resident_names()) + 1
+        assert len(probes) > len(DOCS)  # the budget forced reloads
+        assert alive_index_ids(probes) <= resident_index_ids(registry)
 
     def test_evicted_generations_close_without_collection(self, gc_disabled):
         # Trees hold no reference cycles, so an evicted or superseded
-        # store-loaded generation unmaps as soon as its last holder lets
-        # go; the cyclic collector is off to prove it is not needed.
+        # generation is freed as soon as its last holder lets go; the
+        # cyclic collector is off to prove it is not needed.
         registry, _ = make_registry(budget_trees=1.5)
+        probes = []
         for round_ in range(3):
             for name in sorted(DOCS):
                 with registry.pin(name) as pin:
                     assert pin.tree.labels[0] == "a"
+                    probes.append(probe(pin.tree))
                 if round_ == 1:
                     registry.mutate(
                         name, {"kind": "relabel", "node": 1, "label": "c"}
                     )
+                    probes.append(probe(registry.get(name)))
             del pin
-        # Every handle still open belongs to a resident generation.
-        resident = {
-            id(registry._trees[name]._store_handle)
-            for name in registry.resident_names()
-        }
-        assert open_handles()
-        assert {id(handle) for handle in open_handles()} <= resident
+        # Every generation still alive is a resident one.
+        alive = alive_index_ids(probes)
+        assert alive
+        assert alive <= resident_index_ids(registry)
+        assert sum(not probe.alive for probe in probes) >= len(DOCS)
 
     def test_last_reference_never_dropped_under_the_lock(
         self, monkeypatch, gc_disabled
     ):
-        # Freeing a generation (index, plans, munmap) happens wherever its
+        # Freeing a generation (index, plans, tables) happens wherever its
         # last reference goes; the registry must let it go after releasing
         # the lock every pin and lookup needs.
-        from repro.trees.store import StoreHandle
-
         registry, _ = make_registry(budget_trees=1.5)
-        locked_at_close = []
-        real_close = StoreHandle.close
-
-        def recording_close(handle):
-            if not handle.closed:
-                locked_at_close.append(registry._lock.locked())
-            real_close(handle)
-
-        monkeypatch.setattr(StoreHandle, "close", recording_close)
+        locked_at_free = []
+        probes = probe_loads(
+            monkeypatch, lambda: locked_at_free.append(registry._lock.locked())
+        )
         for name in sorted(DOCS) * 2:  # evictions of store-loaded trees
             registry.get(name)
         for name in registry.resident_names():  # refresh drops
@@ -479,4 +506,4 @@ class TestHandleHygiene:
         cold = sorted(set(DOCS) - set(registry.resident_names()))[0]
         registry.get(cold)
         registry.register(cold, parse_xml("<a><b/></a>"))  # replaces it
-        assert locked_at_close and not any(locked_at_close)
+        assert probes and locked_at_free and not any(locked_at_free)

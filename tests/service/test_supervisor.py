@@ -176,6 +176,35 @@ def test_repeated_kills_within_budget(registry):
         service.shutdown()
 
 
+@pytest.mark.soak
+def test_death_while_dispatching_loses_no_request(registry, monkeypatch):
+    # The feeder checks the shard alive, builds the wire payload, then
+    # registers the job and puts it on the shard's queue.  A death marked
+    # inside that window (its stranded-job sweep already run, the respawn
+    # not yet done) must not leave the job on the dead shard's old queue.
+    service = make_service(registry, restart_backoff=1.0)
+    try:
+        shard = shard_for("doc", 2)
+        request = QueryRequest(op="eval", query="<descendant[b]>", tree="doc")
+        assert service.run_batch([request])[0].status == "ok"
+        build = service._wire_payload
+        killed = []
+
+        def kill_then_build(job):
+            if not killed:
+                killed.append(shard)
+                service.processes[shard].kill()
+                wait_until(lambda: service._dead[shard], what="death marked")
+            return build(job)
+
+        monkeypatch.setattr(service, "_wire_payload", kill_then_build)
+        result = service.submit(request).result(timeout=30.0)
+        assert result.status == "ok" and result.value == [0, 2]
+        assert killed and service.restart_counts[shard] == 1
+    finally:
+        service.shutdown()
+
+
 # -- budget exhaustion: graceful degradation ---------------------------------
 
 

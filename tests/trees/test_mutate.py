@@ -128,9 +128,10 @@ def test_relabel_shares_structural_tables():
     new = tree_index(t2)
     assert_splice_exact(t2)
     # Relabel is O(1): every structural table is shared, labels are not.
-    assert new.prefix is old.prefix
     assert new.after is old.after
     assert new.delta_groups is old.delta_groups
+    assert new.sib_groups is old.sib_groups
+    assert new.last_child_groups is old.last_child_groups
     assert new.label_masks is not old.label_masks
     # ...and so does the tree: only the labels are copied.
     for name, array in tree_fingerprint(t2).items():
@@ -172,6 +173,26 @@ def test_random_edit_scripts_are_bit_exact(data):
         edit = _draw_edit(data, tree)
         tree = apply_edit_indexed(tree, edit)
         assert_splice_exact(tree)  # the oracle also re-validates the order
+
+
+def assert_children_masks(tree: Tree) -> None:
+    """The lazily derived children mask of every node is its child set."""
+    index = tree_index(tree)
+    for p in range(tree.size):
+        want = sum(1 << c for c in tree.children_ids(p))
+        assert index.children_mask(p) == want, p
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_children_mask_matches_children_ids(data):
+    """``children_mask`` on random trees and after random edit scripts
+    (spliced indexes start with an empty memo of their own)."""
+    tree = data.draw(trees(max_size=16, alphabet=("a", "b")))
+    assert_children_masks(tree)
+    for _ in range(data.draw(st.integers(1, 4), label="script length")):
+        tree = apply_edit_indexed(tree, _draw_edit(data, tree))
+        assert_children_masks(tree)
 
 
 @settings(max_examples=60)

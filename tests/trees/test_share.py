@@ -2,16 +2,17 @@
 
 Every tree a shard serves crosses the process boundary as the codec's
 sections inside an RSTR frame (:mod:`repro.trees.store`).  This file
-proves the two properties of that representation without a file or a
-mapping in between; ``test_store.py`` covers the same path through
-``TreeStore`` files and ``mmap``:
+proves the two properties of that representation without a file in
+between; ``test_store.py`` covers the same path through ``TreeStore``
+files:
 
 * **round-trip fidelity** — ``build_sections`` → (any buffer) →
-  ``tree_from_sections`` reproduces every mask the engines consult
-  *bit-exactly*, for arbitrary trees (random shapes, empty labels, single
-  node, deep chains).  A single flipped bit in a prefix or children mask
-  silently corrupts every query answer, so the comparison is integer
-  equality on the full big-int masks, not a sample.
+  ``tree_from_sections`` reproduces every stored table the engines
+  consult *bit-exactly* (``index_fingerprint``), for arbitrary trees
+  (random shapes, empty labels, single node, deep chains).  A single
+  flipped bit in a group or label mask silently corrupts every query
+  answer, so the comparison is integer equality on the full big-int
+  masks, not a sample.
 * **structured corruption failure** — a truncated section raises
   :class:`~repro.runtime.errors.TreeShareError`, and a truncated,
   bit-flipped, or version-skewed frame raises
@@ -38,25 +39,14 @@ from repro.trees import (
     to_xml,
     tree_index,
 )
-from repro.trees.share import MaskSlab, build_sections, tree_from_sections
+from repro.trees.mutate import index_fingerprint
+from repro.trees.share import build_sections, tree_from_sections
 from repro.trees.store import FORMAT_VERSION, _validate
 
 
 def assert_index_equal(original, loaded):
-    """Every engine-visible mask family, compared bit-exactly."""
-    assert loaded.n == original.n
-    assert loaded.full == original.full
-    assert list(loaded.prefix) == list(original.prefix)
-    assert list(loaded.children_of) == list(original.children_of)
-    assert loaded.label_masks == original.label_masks
-    assert loaded.after == original.after
-    assert loaded.leaf_mask == original.leaf_mask
-    assert loaded.internal_mask == original.internal_mask
-    assert loaded.first_mask == original.first_mask
-    assert loaded.last_mask == original.last_mask
-    assert loaded.delta_groups == original.delta_groups
-    assert loaded.sib_groups == original.sib_groups
-    assert loaded.last_child_groups == original.last_child_groups
+    """Every stored mask family, compared bit-exactly."""
+    assert index_fingerprint(loaded) == index_fingerprint(original)
 
 
 def lay_out(sections) -> "tuple[memoryview, dict[int, tuple[int, int]]]":
@@ -138,25 +128,6 @@ class TestRoundTrip:
             assert evaluate_path(loaded, expr, sources, backend="bitset") == (
                 evaluate_path(tree, expr, sources, backend="bitset")
             )
-
-
-class TestMaskSlab:
-    def test_lazy_views_and_detach(self):
-        tree = random_tree(60, "ab", random.Random(2))
-        loaded = roundtrip(tree)
-        index = tree_index(loaded)
-        assert isinstance(index.prefix, MaskSlab)
-        assert isinstance(index.children_of, MaskSlab)
-        reference = tree_index(tree)
-        assert index.prefix[len(loaded.labels)] == reference.prefix[tree.size]
-        assert index.children_of[0] == reference.children_of[0]
-        index.prefix.detach()
-        index.children_of.detach()
-        # Materialized masks survive the detach; unmaterialized reads fail
-        # with the structured error, never a raw NoneType crash.
-        assert index.prefix[len(loaded.labels)] == reference.prefix[tree.size]
-        with pytest.raises(TreeShareError, match="detach"):
-            index.prefix[1]
 
 
 class TestCorruption:

@@ -1,4 +1,4 @@
-"""The disk-backed RSTR v1 store: fidelity, laziness, and corruption.
+"""The disk-backed RSTR v2 store: fidelity, lifetime, and corruption.
 
 The registry's eviction tier depends on the properties proven here:
 
@@ -7,13 +7,15 @@ The registry's eviction tier depends on the properties proven here:
   including trees produced by the mutation edit scripts (the write-through
   path packs exactly those).  The comparison is ``index_fingerprint``
   equality on the full big-int masks, not a sample.
-* **mmap-backed answers** — all three backend families (the XPath
+* **store-loaded answers** — all three backend families (the XPath
   sets/bitset evaluators, the FO(MTC) table/bitset model checkers, and the
   tree walking automata) answer a pinned query corpus identically from the
-  mapped index, without the quadratic slabs ever being materialized up
-  front.
+  loaded index;
+* **generation lifetime** — a loaded index is freed by reference counting
+  as soon as its tree goes, also when an edit spliced a new generation
+  from it;
 * **structured corruption failure** — a truncated tail, a flipped payload
-  bit, or a version-skewed header raises
+  bit, a version-skewed header, or a real version 1 file raises
   :class:`~repro.runtime.errors.StoreCorruptError` (exit code 3), never an
   unstructured error and never a silently wrong answer.
 """
@@ -22,7 +24,10 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
 import struct
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,22 +51,17 @@ from repro.trees import (
     pack_bytes,
     parse_xml,
     random_tree,
-    release_tree,
     to_xml,
     tree_index,
 )
 from repro.trees.mutate import index_fingerprint
-from repro.trees.store import (
-    FORMAT_VERSION,
-    _HEADER,
-    _decode_name,
-    _encode_name,
-    close_open_handles,
-    open_handles,
-)
+from repro.trees.store import FORMAT_VERSION, _HEADER, _decode_name, _encode_name
+
+#: A version 1 store file (see ``data/README.md``).
+V1_FIXTURE = Path(__file__).parent / "data" / "v1doc.rstr"
 
 #: The pinned cross-backend query corpus: every family must answer these
-#: identically from a mapped index and from a freshly built one.
+#: identically from a loaded index and from a freshly built one.
 XPATH_QUERIES = ("descendant[a]", "child[b]", "following[a]", "ancestor[b]")
 MTC_FORMULAS = ("exists x. a(x)", "a(x)", "tc[u,v](child(u,v))(x,y)")
 
@@ -127,7 +127,6 @@ class TestRoundTrip:
         assert index_fingerprint(tree_index(loaded)) == index_fingerprint(
             tree_index(tree)
         )
-        release_tree(loaded)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -158,7 +157,6 @@ class TestRoundTrip:
         assert index_fingerprint(tree_index(loaded)) == index_fingerprint(
             tree_index(tree)
         )
-        release_tree(loaded)
 
 
 class TestBackendAgreement:
@@ -196,82 +194,32 @@ class TestBackendAgreement:
             twa = random_twa(alphabet=("a", "b"), num_states=3, rng=random.Random(seed))
             assert twa.accepts(loaded) == twa.accepts(tree)
 
-    def test_quadratic_slabs_stay_lazy(self, tmp_path):
-        from repro.trees import MaskSlab
-
-        tree = random_tree(60, "ab", random.Random(2))
-        loaded = roundtrip(TreeStore(tmp_path), tree)
-        index = tree_index(loaded)
-        assert isinstance(index.prefix, MaskSlab)
-        assert isinstance(index.children_of, MaskSlab)
-        reference = tree_index(tree)
-        assert index.prefix[tree.size] == reference.prefix[tree.size]
-        assert index.children_of[0] == reference.children_of[0]
-
-    def test_slab_refuses_pickle(self, tmp_path):
-        # A slab views this process's mapping: shipping it to another
-        # process must fail loudly, never send a view of foreign memory.
-        import pickle
-
-        tree = random_tree(10, "ab", random.Random(1))
-        loaded = roundtrip(TreeStore(tmp_path), tree)
-        with pytest.raises(TypeError):
-            pickle.dumps(tree_index(loaded).prefix)
-
 
 class TestHandleLifecycle:
-    def test_release_closes_the_mapping(self, tmp_path):
-        tree = random_tree(30, "ab", random.Random(4))
-        loaded = roundtrip(TreeStore(tmp_path), tree)
-        assert loaded._store_handle is not None
-        assert open_handles()
-        release_tree(loaded)
-        assert loaded._store_handle is None
-        assert not open_handles()
-        release_tree(loaded)  # idempotent
-
-    def test_materialized_masks_survive_close(self, tmp_path):
-        from repro.runtime.errors import TreeShareError
-
-        tree = random_tree(30, "ab", random.Random(4))
-        loaded = roundtrip(TreeStore(tmp_path), tree)
-        index = tree_index(loaded)
-        want = tree_index(tree).prefix[tree.size]
-        assert index.prefix[tree.size] == want
-        release_tree(loaded)
-        assert index.prefix[tree.size] == want  # cached
-        with pytest.raises(TreeShareError, match="detach"):
-            index.prefix[1]  # unmaterialized reads fail loudly
-
     @pytest.mark.parametrize(
         "edit",
         [Relabel(3, "b"), InsertSubtree(3, 0, Tree.leaf("c")), DeleteSubtree(3)],
         ids=["relabel", "insert", "delete"],
     )
-    def test_edit_outlives_the_old_mapping(self, tmp_path, edit):
-        # The new generation must not read through the old generation's
-        # lazy slabs: its mapping closes as soon as the old tree goes.
+    def test_edit_outlives_the_old_mapping(self, tmp_path, edit, gc_disabled):
+        # The new generation must not keep the old one alive: the loaded
+        # index is freed by refcount as soon as its tree goes, and the new
+        # generation still answers from its own tables.
         from repro.trees import apply_edit_indexed
         from repro.xpath import Evaluator, parse_node
 
         tree = random_tree(256, "ab", random.Random(5))
         old = roundtrip(TreeStore(tmp_path), tree)
+        freed = weakref.finalize(tree_index(old), lambda: None)
         new = apply_edit_indexed(old, edit)
-        release_tree(old)
+        del old
+        assert not freed.alive
         query = parse_node("<descendant[a]>")
         expected = Evaluator(apply_edit(tree, edit), backend="sets").nodes(query)
         assert Evaluator(new, backend="bitset").nodes(query) == expected
         assert index_fingerprint(tree_index(new)) == index_fingerprint(
             tree_index(apply_edit(tree, edit))
         )
-
-    def test_close_open_handles_sweep(self, tmp_path):
-        store = TreeStore(tmp_path)
-        store.pack("t", random_tree(10, "ab", random.Random(1)))
-        kept, _ = store.load("t")
-        assert close_open_handles() == 1
-        assert close_open_handles() == 0
-        assert kept._store_handle.closed
 
 
 class TestDirectory:
@@ -324,7 +272,7 @@ class TestDirectory:
         assert report["bytes"] == nbytes
         assert report["n"] == tree.size
         assert report["epoch"] == 7
-        assert report["sections"] == 11
+        assert report["sections"] == 9
 
 
 class TestCorruption:
@@ -397,15 +345,28 @@ class TestCorruption:
         corrupt = bytearray(blob)
         corrupt[-1] ^= 0x01
         self.rewrite(store, bytes(corrupt))
-        before = len(open_handles())
         with pytest.raises(StoreCorruptError):
             store.load("t")
-        assert len(open_handles()) == before
         counters = obs.REGISTRY.to_json()["counters"]
         assert counters["store_loads_total{event=corrupt}"] >= 1
 
     def test_error_maps_to_io_exit_code(self):
         assert exit_code_for(StoreCorruptError("x")) == 3
+
+    def test_version_one_file_is_refused(self, tmp_path):
+        # A real file from the version 1 writer, quadratic sections and
+        # all: the reader refuses it with the typed version error.
+        from repro.cli import main
+
+        store = TreeStore(tmp_path)
+        shutil.copyfile(V1_FIXTURE, store._path("v1doc"))
+        assert store.names() == ["v1doc"]
+        with pytest.raises(StoreCorruptError, match="version 1"):
+            store.load("v1doc")
+        with pytest.raises(StoreCorruptError, match="version 1"):
+            store.verify("v1doc")
+        assert store.epoch("v1doc") is None  # stale: re-pack before trusting
+        assert main(["store", "verify", str(tmp_path)]) == 3
 
     def test_load_fault_site(self, tmp_path):
         store, _ = self.packed(tmp_path)
