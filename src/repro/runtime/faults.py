@@ -62,7 +62,8 @@ _WHERE = {
     "logic.bitset.tc": "inside every ``[TC]`` sweep: the semi-naive closure "
     "of a ``[TC]`` table and the frontier sweep of a semi-join",
     "automata.bitset": "entry of the bit-parallel configuration sweep",
-    "service.worker": "start of each fast-path attempt in a service worker",
+    "service.worker": "start of each fast-path engine run: in the service "
+    "worker's thread, or inside the owning shard for a sharded read",
     "trees.mutate": "inside :meth:`TreeRegistry.mutate`, before the edit is "
     "applied (the pre-publish atomicity boundary)",
     "wal.append": "inside :meth:`WriteAheadLog._append`, before the record "

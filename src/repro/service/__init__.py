@@ -26,13 +26,13 @@ The pieces, each in its own module:
 * :class:`QueryService` (:mod:`~repro.service.workers`) — the worker
   pool tying it together;
 * :class:`ShardedQueryService` (:mod:`~repro.service.shards`) — the
-  multiprocess tier: shard processes that load trees read-only from the
-  registry's store (a scratch one on tmpfs when it has none), same API,
-  true multi-core scaling (pass ``--shards`` to ``repro batch``);
+  multiprocess tier: a :class:`QueryService` whose engine runs in shard
+  processes that load trees read-only from the registry's store (a
+  scratch one on tmpfs when it has none) and only evaluate (pass
+  ``--shards`` to ``repro batch``);
 * :class:`ShardSupervisor` (:mod:`~repro.service.supervisor`) — parent-
   side self-healing for the shard pool: liveness/heartbeat detection,
-  budgeted exponential-backoff respawn with fault re-arming, stranded-
-  request re-dispatch, and terminal
+  budgeted exponential-backoff respawn with fault re-arming, and terminal
   :class:`~repro.runtime.errors.ShardUnavailableError` degradation
   (enabled with ``max_restarts=N``; pair with a
   :class:`~repro.trees.wal.WriteAheadLog` on the registry for durable
@@ -60,7 +60,7 @@ from .breaker import CircuitBreaker
 from .cache import ResultCache
 from .queue import BoundedRequestQueue
 from .retry import RetryPolicy
-from .shards import ShardConfig, ShardedQueryService
+from .shards import ShardedQueryService
 from .stats import ServiceStats
 from .supervisor import RestartBudget, ShardSupervisor
 from .workers import PendingResult, QueryService
@@ -77,7 +77,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "ServiceStats",
-    "ShardConfig",
     "ShardSupervisor",
     "ShardedQueryService",
     "TreePin",

@@ -14,7 +14,8 @@ and restarts the cooldown.
 The state machine is driven entirely by its users' calls — there is no
 timer thread.  :meth:`acquire` is the single routing decision point and
 returns a route string rather than a bool so callers can distinguish the
-probe (whose outcome *must* be reported back) from ordinary fast-path
+probe (whose outcome *must* be reported back, or the probe handed back
+with :meth:`cancel_probe` when no engine ran) from ordinary fast-path
 traffic:
 
 ======================  ================================================
@@ -118,6 +119,11 @@ class CircuitBreaker:
                 self._consecutive_failures >= self.failure_threshold
             ):
                 self._trip_locked()
+
+    def cancel_probe(self) -> None:
+        """The probe never reached the engine: the next request probes."""
+        with self._lock:
+            self._probe_in_flight = False
 
     def _trip_locked(self) -> None:
         self._state = OPEN

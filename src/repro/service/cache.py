@@ -99,8 +99,7 @@ class ResultCache:
     """The semantic result cache (see module docstring).
 
     Thread-safe; one instance per :class:`~repro.service.workers.QueryService`
-    (per shard in the sharded tier — tree-affine routing keeps every key's
-    traffic on one shard, so shard-local caches lose nothing).
+    (in the parent for the sharded tier too: a hit never crosses a pipe).
     """
 
     def __init__(

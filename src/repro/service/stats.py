@@ -19,7 +19,12 @@ Latencies are recorded per completed request (sheds too — their latency is
 pure queue wait) into a fixed-bucket histogram and summarized as p50/p90 in
 :meth:`snapshot`, matching the committed-benchmark schema's percentile
 choice (the histogram percentiles are upper bounds, clamped to the observed
-maximum).
+maximum).  The snapshot reads only this service's own series, never another
+service's in the same process.
+
+There is one ledger per service, whichever tier: a sharded service counts
+each request once, in the parent, because its shard processes run no
+service and record no ``service_*`` series.
 """
 
 from __future__ import annotations
@@ -126,43 +131,3 @@ class ServiceStats:
                 name: breaker.snapshot() for name, breaker in breakers.items()
             }
         return payload
-
-    @staticmethod
-    def merge_snapshots(
-        parts: list[dict],
-        *,
-        submitted: int | None = None,
-        latency=None,
-    ) -> dict:
-        """Merge per-service :meth:`snapshot` dicts into one aggregate view.
-
-        Counters are additive.  Percentiles are **not** — a mean (or any
-        other combination) of per-shard p50s is not the p50 of the combined
-        population, so this method refuses to fabricate one: pass
-        ``latency``, a :class:`repro.obs.Histogram` whose raw bucket counts
-        were merged across the parts (see :func:`repro.obs.merged_histogram`),
-        and the percentiles are computed from the combined reservoir;
-        without it the latency keys are omitted entirely.
-
-        ``submitted`` overrides the additive sum for callers whose parts
-        double-count admissions (the sharded service admits in the parent
-        and again in the owning shard, so summing both would double the
-        true total).
-        """
-        merged = {
-            key: sum(int(part.get(key, 0)) for part in parts)
-            for key in ("submitted", "ok", "errors", "shed", "retries", "fallbacks")
-        }
-        if submitted is not None:
-            merged["submitted"] = int(submitted)
-        merged["completed"] = merged["ok"] + merged["errors"] + merged["shed"]
-        if latency is not None:
-            merged["latency_p50"] = round(latency.percentile(0.50), 6)
-            merged["latency_p90"] = round(latency.percentile(0.90), 6)
-        breakers = {}
-        for index, part in enumerate(parts):
-            for name, view in (part.get("breakers") or {}).items():
-                breakers[f"{index}:{name}" if name in breakers else name] = view
-        if breakers:
-            merged["breakers"] = breakers
-        return merged

@@ -96,6 +96,17 @@ class TestStateMachine:
         clock.advance(0.6)
         assert breaker.acquire() == "probe"
 
+    def test_cancelled_probe_lets_the_next_request_probe(self, breaker, clock):
+        # A probe whose request never reached the engine (its shard died)
+        # reports nothing; handing it back must not wedge the half-open state.
+        for _ in range(3):
+            breaker.record_failure()
+        clock.advance(1.5)
+        assert breaker.acquire() == "probe"
+        breaker.cancel_probe()
+        assert breaker.state == HALF_OPEN
+        assert breaker.acquire() == "probe"
+
     def test_threshold_one_opens_immediately(self, clock):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
         breaker.record_failure()

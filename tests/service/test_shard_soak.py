@@ -99,11 +99,12 @@ def test_cross_process_chaos_soak_zero_lost_requests():
         assert snapshot["completed"] == TOTAL
         # Both shards actually served (the workload names two documents
         # that hash to different shards, plus round-robin equivalence).
-        shard_submitted = [
-            s["submitted"] for s in snapshot["shards"].values()
-        ]
-        assert len(shard_submitted) == 2
-        assert all(count > 0 for count in shard_submitted)
+        served = {
+            result.worker.split("/")[0]
+            for result in results.values()
+            if result.worker.startswith("shard-")
+        }
+        assert served == {"shard-0", "shard-1"}
         # The broadcast burst left a trace in some shard.
         assert snapshot["retries"] >= 1
 

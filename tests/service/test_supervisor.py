@@ -13,6 +13,8 @@ exhausted restart budget degrades to the structured
 from __future__ import annotations
 
 import os
+import random
+import signal
 import time
 import zlib
 
@@ -28,7 +30,7 @@ from repro.service import (
     ShardedQueryService,
     TreeRegistry,
 )
-from repro.service.shards import _ShardJob
+from repro.service.workers import _Job
 from repro.trees import parse_xml
 
 START_METHOD = os.environ.get("REPRO_START_METHOD", "fork")
@@ -205,6 +207,26 @@ def test_death_while_dispatching_loses_no_request(registry, monkeypatch):
         service.shutdown()
 
 
+@pytest.mark.soak
+def test_hung_shard_is_killed_and_respawned(registry):
+    # Alive but silent: a stopped shard sends no heartbeats, so the
+    # supervisor kills it after heartbeat_timeout and the crash path
+    # respawns it; the read sent to the stopped shard is answered after all.
+    service = make_service(registry, max_restarts=3, heartbeat_timeout=1.0)
+    try:
+        shard = shard_for("doc", 2)
+        request = QueryRequest(op="eval", query="<descendant[b]>", tree="doc")
+        assert service.run_batch([request])[0].status == "ok"
+        hangs = obs.REGISTRY.total("shard_hangs_total")
+        os.kill(service.processes[shard].pid, signal.SIGSTOP)
+        result = service.submit(request).result(timeout=30.0)
+        assert result.status == "ok" and result.value == [0, 2]
+        assert service.restart_counts[shard] == 1
+        assert obs.REGISTRY.total("shard_hangs_total") - hangs == 1
+    finally:
+        service.shutdown()
+
+
 # -- budget exhaustion: graceful degradation ---------------------------------
 
 
@@ -343,13 +365,12 @@ def test_crashed_result_survives_closed_process_handle(registry):
     finally:
         service.shutdown()
     # Close the (already joined) handle: ``.exitcode`` now raises
-    # ValueError.  The crash formatter must degrade to ``exitcode None``
-    # instead of raising from the resolving thread.
+    # ValueError.  A request meeting the dead shard must still resolve with
+    # ``exitcode None`` instead of raising from the worker.
     process = service._processes[0]
     process.join(timeout=10.0)
     process.close()
-    job = _ShardJob(request, None, 0.0, 0)
-    result = service._crashed_result(job)
+    result = service._process(_Job(request, None, 0.0), "worker-0", random.Random(0))
     assert result.status == "error"
     assert result.error["type"] == "ShardCrashedError"
     assert "exitcode None" in result.error["message"]
