@@ -63,6 +63,10 @@ _REQUIRED_FIELDS = {
 #: Operations that run against a document (equivalence runs over corpora).
 _NEEDS_DOCUMENT = ("eval", "select", "check")
 
+#: Fields that, when present, must be strings (they name documents, carry
+#: query text, and key the process-wide prepared-plan cache).
+_TEXT_FIELDS = ("tree", "xml", "query", "formula", "left", "right", "alphabet")
+
 _auto_ids = itertools.count(1)
 
 
@@ -98,6 +102,12 @@ class QueryRequest:
         """
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r}; expected one of {OPS}")
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"field {name!r} must be a string, got {type(value).__name__}"
+                )
         for name in _REQUIRED_FIELDS[self.op]:
             if getattr(self, name) is None:
                 raise ValueError(f"op {self.op!r} requires field {name!r}")
