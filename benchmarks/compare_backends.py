@@ -33,8 +33,8 @@ non-zero if a bitset engine falls below its regression gate:
   construction the same dict lookup plus an LRU touch.  A cold
   ``TreeStore.load`` row is printed for scale but not gated (its cost is
   the budget trade-off itself, priced in BENCH_store.json);
-* semantic-cache rows (PR 7): a Zipf-skewed batch through the service
-  twice — optimizer on in both arms, result cache off vs on — gated on
+* result-cache rows (PR 7): a Zipf-skewed batch through the service
+  twice, result cache off vs on, gated on
   ``--min-hit-rate`` (default 0.30; the skew guarantees repeats, so a
   lower rate means the canonical keying broke) and ``--min-cache-win``
   percent p50 improvement (default 10%).  The win gate is *skew-guarded*:
@@ -107,9 +107,8 @@ def _zipf_requests(n: int, seed: int = 2008) -> list[QueryRequest]:
 def cache_effectiveness(quick: bool, reps: int) -> tuple[tuple, float]:
     """Time the Zipf batch uncached vs cached; a row plus the hit rate.
 
-    Both arms run with the optimizer on (canonical keys, cost-based backend
-    choice); only the result cache differs, so the ratio isolates what
-    cross-request reuse buys.  The cached service persists across
+    Only the result cache differs between the arms, so the ratio isolates
+    what cross-request reuse buys.  The cached service persists across
     repetitions — steady state is what the gate prices.
     """
     size = 256 if quick else 512
@@ -119,9 +118,9 @@ def cache_effectiveness(quick: bool, reps: int) -> tuple[tuple, float]:
     registry.register("chain", chain(size, labels=("a", "b")))
     requests = _zipf_requests(batch)
     with QueryService(
-        registry, workers=4, queue_limit=batch, optimize=True, result_cache=False
+        registry, workers=4, queue_limit=batch
     ) as uncached, QueryService(
-        registry, workers=4, queue_limit=batch, optimize=True, result_cache=True
+        registry, workers=4, queue_limit=batch, result_cache=True
     ) as cached:
         plain_t, cached_t, ratio = paired_seconds(
             lambda: uncached.run_batch(requests),
@@ -180,10 +179,10 @@ def paired_seconds(baseline, variant, repetitions: int) -> tuple[float, float, f
 
 
 def cache_section(args, reps: int) -> list[str]:
-    """Print the semantic-cache rows; the list of gate-failure messages."""
+    """Print the result-cache rows; the list of gate-failure messages."""
     row, hit_rate = cache_effectiveness(args.quick, reps)
     header = (
-        f"{'semantic cache':<22} {'uncached':>12} {'cached':>12} {'p50 win':>9}"
+        f"{'result cache':<22} {'uncached':>12} {'cached':>12} {'p50 win':>9}"
     )
     print(header)
     print("-" * len(header))
@@ -197,7 +196,7 @@ def cache_section(args, reps: int) -> list[str]:
     failures = []
     if hit_rate < args.min_hit_rate:
         failures.append(
-            f"FAIL: semantic cache hit rate {hit_rate:.2%} is below the "
+            f"FAIL: result cache hit rate {hit_rate:.2%} is below the "
             f"{args.min_hit_rate:.0%} gate (canonical keying is not "
             "collapsing the Zipf repeats)"
         )
@@ -244,9 +243,9 @@ def store_section(args, reps: int) -> list[str]:
         backed.get(name)  # fault in: the gated arm serves warm hits only
     requests = _zipf_requests(batch)
     with QueryService(
-        plain, workers=4, queue_limit=batch, optimize=True
+        plain, workers=4, queue_limit=batch
     ) as base_svc, QueryService(
-        backed, workers=4, queue_limit=batch, optimize=True
+        backed, workers=4, queue_limit=batch
     ) as store_svc:
         plain_t, store_t, ratio = paired_seconds(
             lambda: base_svc.run_batch(requests),
@@ -392,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         "--min-hit-rate",
         type=float,
         default=0.30,
-        help="fail if the semantic result cache's hit rate on the Zipf "
+        help="fail if the result cache's hit rate on the Zipf "
         "workload falls below this fraction",
     )
     parser.add_argument(
@@ -406,8 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-only",
         action="store_true",
-        help="run only the semantic-cache effectiveness rows and gates "
-        "(the CI optimizer job)",
+        help="run only the result-cache effectiveness rows and gates "
+        "(the CI canonical keys + result cache job)",
     )
     parser.add_argument(
         "--max-store-overhead",

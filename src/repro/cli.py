@@ -23,7 +23,8 @@ Commands:
   JSON result object per output line, in input order.  Documents come from
   repeatable ``--tree NAME=FILE.xml`` registrations or inline ``"xml"``
   request fields; ``--workers`` / ``--queue-limit`` / ``--retries`` /
-  ``--breaker-threshold`` / ``--breaker-cooldown`` shape the pool, and
+  ``--breaker-threshold`` / ``--breaker-cooldown`` shape the pool,
+  ``--result-cache`` reuses finished answers across requests, and
   ``--stats`` prints the aggregate counters to stderr as JSON.  Registered
   trees are *live*: a ``{"op": "mutate", "tree": NAME, "edit": {...}}``
   request applies a subtree insert/delete/relabel and publishes a new
@@ -347,8 +348,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             default_timeout=args.timeout,
             default_max_steps=args.max_steps,
             default_max_nodes=args.max_nodes,
-            optimize=args.optimize,
-            result_cache=args.optimize and not args.no_result_cache,
+            result_cache=args.result_cache,
             max_restarts=args.max_restarts,
         )
     else:
@@ -362,8 +362,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             default_timeout=args.timeout,
             default_max_steps=args.max_steps,
             default_max_nodes=args.max_nodes,
-            optimize=args.optimize,
-            result_cache=args.optimize and not args.no_result_cache,
+            result_cache=args.result_cache,
         )
     entries = []  # per input line: ("done", json-dict) | ("pending", handle)
     try:
@@ -718,23 +717,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="open time before a half-open recovery probe (default 0.25)",
     )
     p.add_argument(
-        "--optimize",
+        "--result-cache",
         action="store_true",
-        help="enable the adaptive query optimizer: canonical/semantic cache "
-        "keys, cost-based sets-vs-bitset choice, and (unless "
-        "--no-result-cache) the cross-request result cache",
-    )
-    p.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="with --optimize, keep the optimizer but disable the "
-        "cross-request result cache",
+        help="cache finished answers across requests, keyed on canonical "
+        "query forms, so rewriting-equivalent variants share one entry",
     )
     p.add_argument(
         "--stats",
         action="store_true",
         help="print aggregate service counters to stderr as JSON "
-        "(includes result-cache and optimizer sections when --optimize)",
+        "(with a result_cache section under --result-cache)",
     )
     p.add_argument(
         "--metrics",

@@ -506,7 +506,7 @@ class ShardedQueryService(QueryService):
         """No tree in the parent: the owning shard resolves the document."""
         return None, None
 
-    def _run(self, job, plan, tree, budget, fast: bool, backend=None):
+    def _run(self, job, plan, tree, budget, fast: bool):
         """One attempt on the shard that owns the request, as a round trip.
 
         A shard that dies with the request outstanding (or before it is

@@ -190,17 +190,16 @@ class Unserved(BaseException):
 # ``prepare(request)`` parses the request's query text once per process and
 # distinct text (an LRU shared by every service in the process, and by a
 # shard's evaluation loop) and returns a closure
-# ``run(tree, budget, fast, backend=None) -> JSON-safe value``; parse errors
-# surface at prepare time and are charged to the request as input errors.
+# ``run(tree, budget, fast) -> JSON-safe value``: ``fast`` runs the bitset
+# engine, otherwise the row-wise oracle (``sets`` / ``table``; ``equivalent``
+# runs the decision procedures either way).  Parse errors surface at prepare
+# time and are charged to the request as input errors.
 # Prepared runners close over parsed ASTs only (no per-request or per-tree
 # state), so they are safe to share across requests and threads; compiled
 # *plans* are cached structurally on the per-tree TreeIndex.  Runners carry
-# metadata for the optimizer/cache layer:
-# ``run.family`` (engine family or None), ``run.expr`` (the parsed XPath
-# AST for eval/select — what the cost model and canonicalizer consume),
-# and ``run.cache_text`` (a ready-made semantic key for ops whose queries
-# the canonicalizer does not cover).  ``backend`` overrides the static
-# fast/oracle backend choice on the fast route (the cost model's pick).
+# the result cache's key material: ``run.expr`` (the parsed XPath AST for
+# eval/select, keyed by its canonical form) and ``run.cache_text`` (a
+# ready-made key for ops whose queries the canonicalizer does not cover).
 
 
 def _parse_any(text: str):
@@ -218,11 +217,10 @@ def _prepare_eval(request: QueryRequest):
 
     expr = parse_node(request.query)
 
-    def run(tree, budget, fast, backend=None):
-        chosen = backend or ("bitset" if fast else "sets")
-        return sorted(Evaluator(tree, backend=chosen, budget=budget).nodes(expr))
+    def run(tree, budget, fast):
+        backend = "bitset" if fast else "sets"
+        return sorted(Evaluator(tree, backend=backend, budget=budget).nodes(expr))
 
-    run.family = "xpath"
     run.expr = expr
     run.cache_text = None
     return run
@@ -234,11 +232,10 @@ def _prepare_select(request: QueryRequest):
 
     expr = parse_path(request.query)
 
-    def run(tree, budget, fast, backend=None):
-        chosen = backend or ("bitset" if fast else "sets")
-        return sorted(Evaluator(tree, backend=chosen, budget=budget).image(expr, {0}))
+    def run(tree, budget, fast):
+        backend = "bitset" if fast else "sets"
+        return sorted(Evaluator(tree, backend=backend, budget=budget).image(expr, {0}))
 
-    run.family = "xpath"
     run.expr = expr
     run.cache_text = None
     return run
@@ -254,16 +251,15 @@ def _prepare_check(request: QueryRequest):
     if len(free) > 2:
         raise ValueError(f"expected at most 2 free variables, got {free}")
 
-    def run(tree, budget, fast, backend=None):
-        chosen = backend or ("bitset" if fast else "table")
-        checker = ModelChecker(tree, backend=chosen, budget=budget)
+    def run(tree, budget, fast):
+        backend = "bitset" if fast else "table"
+        checker = ModelChecker(tree, backend=backend, budget=budget)
         if not free:
             return checker.holds(formula)
         if len(free) == 1:
             return sorted(checker.node_set(formula, free[0]))
         return [list(pair) for pair in sorted(checker.pairs(formula, free[0], free[1]))]
 
-    run.family = "logic"
     run.expr = None
     # No canonicalizer for FO(MTC) yet: the raw formula text is the key
     # (still a win — the hot-set workload repeats formulas verbatim).
@@ -283,7 +279,7 @@ def _prepare_equivalent(request: QueryRequest):
     alphabet = tuple(request.alphabet)
     node_sort = isinstance(left, xp.NodeExpr)
 
-    def run(tree, budget, fast, backend=None):
+    def run(tree, budget, fast):
         from ..decision import (
             check_node_equivalence,
             check_path_equivalence,
@@ -312,7 +308,6 @@ def _prepare_equivalent(request: QueryRequest):
             ),
         }
 
-    run.family = None
     run.expr = None
     # Equivalence answers are tree-independent (corpus/exact decision);
     # key on the normalized question.
@@ -359,7 +354,7 @@ def prepare(request: QueryRequest):
     )
 
 
-def run_plan(plan, tree, budget, fast: bool, backend: str | None = None):
+def run_plan(plan, tree, budget, fast: bool):
     """One engine run of a prepared plan: the in-thread runner, and the
     body of a shard's attempt.
 
@@ -368,7 +363,7 @@ def run_plan(plan, tree, budget, fast: bool, backend: str | None = None):
     """
     if fast:
         faults.check("service.worker")
-    return plan(tree, budget, fast, backend)
+    return plan(tree, budget, fast)
 
 
 def resolve_tree(registry: TreeRegistry, request: QueryRequest) -> tuple:
@@ -430,11 +425,7 @@ class QueryService:
         default_timeout: float | None = None,
         default_max_steps: int | None = None,
         default_max_nodes: int | None = None,
-        service_name: str | None = None,
-        optimize: bool = False,
         result_cache: bool = False,
-        cache_entries: int = 512,
-        cache_bytes: int = 8 << 20,
         clock=time.monotonic,
         sleep=time.sleep,
     ):
@@ -442,21 +433,11 @@ class QueryService:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.registry = registry if registry is not None else TreeRegistry()
         self.retry = retry if retry is not None else RetryPolicy()
-        self.stats = ServiceStats(service=service_name)
-        # The PR 7 adaptive layer, both off by default (opt-in per service):
-        # ``optimize`` turns on canonical/semantic cache keys plus cost-based
-        # sets-vs-bitset choice on the fast route; ``result_cache`` caches
-        # finished ok values cross-request under semantic keys.
-        if optimize:
-            from ..xpath.optimizer import QueryOptimizer
-
-            self.optimizer: "QueryOptimizer | None" = QueryOptimizer()
-        else:
-            self.optimizer = None
+        self.stats = ServiceStats()
+        # Off by default: ``result_cache`` caches finished ok values
+        # cross-request under canonical keys.
         self.result_cache: ResultCache | None = (
-            ResultCache(max_entries=cache_entries, max_total_bytes=cache_bytes)
-            if result_cache
-            else None
+            ResultCache() if result_cache else None
         )
         if self.result_cache is not None:
             # Re-registering a tree bumps its epoch and drops its entries.
@@ -603,11 +584,6 @@ class QueryService:
         snapshot = self.stats.snapshot(self._breakers)
         if self.result_cache is not None:
             snapshot["result_cache"] = self.result_cache.snapshot()
-        if self.optimizer is not None:
-            snapshot["optimizer"] = {
-                "rates": self.optimizer.cost.rates(),
-                "choices": self.optimizer.cost.choices(),
-            }
         return snapshot
 
     # -- worker side -------------------------------------------------------
@@ -763,7 +739,7 @@ class QueryService:
     ) -> QueryResult:
         """One request through the cache, then the retry state machine.
 
-        With the result cache on, requests for one semantic key collapse:
+        With the result cache on, requests for one canonical key collapse:
         a stored value is served directly (``routed="cache"``), concurrent
         identical requests single-flight behind a leader, and a leader that
         fails abandons the flight so followers evaluate independently (a
@@ -814,19 +790,13 @@ class QueryService:
             )
         return self._attempt(job, plan, tree, budget, worker, rng, base_retries)
 
-    def _cache_key(self, request: QueryRequest, plan) -> tuple | None:
-        """The semantic cache key for ``request``, or None if uncacheable."""
-        text = getattr(plan, "cache_text", None)
+    def _cache_key(self, request: QueryRequest, plan) -> tuple:
+        """The result cache key for ``request``: op, tree and query key."""
+        text = plan.cache_text
         if text is None:
-            expr = getattr(plan, "expr", None)
-            if expr is None:
-                return None
-            if self.optimizer is not None:
-                _, text = self.optimizer.prepare(expr)
-            else:
-                from ..xpath.optimizer import canonical_key
+            from ..xpath.optimizer import canonical_key
 
-                text = canonical_key(expr)
+            text = canonical_key(plan.expr)
         return (request.op, request.tree or "", text)
 
     def _attempt(
@@ -845,23 +815,11 @@ class QueryService:
             attempts += 1
             route = breaker.acquire() if breaker is not None else "direct"
             fast = route in ("fast", "probe")
-            # Cost-based backend choice, fast route only: the breaker's
-            # degraded/oracle routes stay pinned to the row-wise engines
-            # (they are the known-good fallback, not a tuning knob).
-            chosen = None
-            if (
-                fast
-                and self.optimizer is not None
-                and getattr(plan, "family", None) == "xpath"
-                and tree is not None
-            ):
-                chosen = self.optimizer.choose(plan.expr, tree)
-            started = self._clock()
             try:
                 with obs.span(
                     "service.attempt", budget=budget, route=route, attempt=attempts
                 ):
-                    value = self._run(job, plan, tree, budget, fast, chosen)
+                    value = self._run(job, plan, tree, budget, fast)
             except Unserved:
                 if route == "probe":
                     breaker.cancel_probe()  # no engine ran: nothing to report
@@ -889,13 +847,7 @@ class QueryService:
             else:
                 if fast:
                     breaker.record_success()
-                    if chosen is not None:
-                        # Calibrate the cost model with the observed run.
-                        self.optimizer.observe(
-                            chosen, plan.expr, tree, self._clock() - started
-                        )
-                if fast:
-                    routed = chosen or "bitset"
+                    routed = "bitset"
                 else:
                     routed = "decision" if family is None else "oracle"
                 return self._ok_result(
@@ -920,14 +872,14 @@ class QueryService:
             job, value, worker=worker, retries=retries, routed="oracle", fallback=True
         )
 
-    def _run(self, job: _Job, plan, tree, budget, fast: bool, backend=None):
+    def _run(self, job: _Job, plan, tree, budget, fast: bool):
         """The runner: one engine run of ``plan`` on this thread.
 
         The sharded tier overrides this with a round trip to the shard that
         owns the document; a runner that reaches no engine raises
         :class:`Unserved`.
         """
-        return run_plan(plan, tree, budget, fast, backend)
+        return run_plan(plan, tree, budget, fast)
 
     # -- result shaping ----------------------------------------------------
 

@@ -63,11 +63,6 @@ _REL_INVERSE_AXIS = {
 
 def mtc_to_node_expr(formula: fo.Formula, x: str = "x") -> xp.NodeExpr:
     """Translate a formula with free variables ⊆ {x} into a node expression."""
-    free = fo.free_variables(formula)
-    if not free <= {x}:
-        raise UnsupportedFormula(
-            f"free variables {sorted(free)} not contained in {{{x}}}"
-        )
     return _node(nnf(formula), x, False)
 
 
@@ -86,11 +81,6 @@ def mtc_to_path_expr(
     """
     if x == y:
         raise ValueError("x and y must be distinct variables")
-    free = fo.free_variables(formula)
-    if not free <= {x, y}:
-        raise UnsupportedFormula(
-            f"free variables {sorted(free)} not contained in {{{x}, {y}}}"
-        )
     return _path(nnf(formula), x, y, allow_path_booleans)
 
 
@@ -100,22 +90,30 @@ def mtc_to_path_expr(
 #
 # ``booleans`` is ``allow_path_booleans``, passed down the recursion (not
 # kept in module state) so concurrent translations cannot see each other's.
+#
+# ``_path`` and ``_node`` check their free variables on entry, at every
+# level: a subformula that mentions a *parameter* (a variable other than the
+# pair being translated, such as x inside ``[TC_{u,v} b(x) ∧ child(u,v)]``)
+# has no place in the target, and filing it as a guard on the step's source
+# would answer a different query.
 
 
 def _path(formula: fo.Formula, x: str, y: str, booleans: bool) -> xp.PathExpr:
     free = fo.free_variables(formula)
+    if not free <= {x, y}:
+        raise UnsupportedFormula(
+            f"free variables {sorted(free)} not contained in {{{x}, {y}}}"
+        )
     # Cylinders: a formula not relating x and y denotes a product relation.
     if y not in free:
         return xp.Seq(xp.Check(_node(formula, x, booleans)), ANY_PAIR)
     if x not in free:
         return xp.Seq(ANY_PAIR, xp.Check(_node(formula, y, booleans)))
 
-    if isinstance(formula, fo.Rel):
+    if isinstance(formula, fo.Rel):  # over (x, y) or (y, x): both are free
         if (formula.left, formula.right) == (x, y):
             return xp.Step(_REL_AXIS[formula.name])
-        if (formula.left, formula.right) == (y, x):
-            return xp.Step(_REL_INVERSE_AXIS[formula.name])
-        raise UnsupportedFormula(f"relational atom {formula} not over ({x},{y})")
+        return xp.Step(_REL_INVERSE_AXIS[formula.name])
     if isinstance(formula, fo.Eq):
         return xp.SELF  # both orientations
     if isinstance(formula, fo.Or):
@@ -233,19 +231,20 @@ def _path_tc(formula: fo.TC, x: str, y: str, booleans: bool) -> xp.PathExpr:
 
 def _node(formula: fo.Formula, x: str, booleans: bool) -> xp.NodeExpr:
     free = fo.free_variables(formula)
+    if not free <= {x}:
+        raise UnsupportedFormula(
+            f"free variables {sorted(free)} not contained in {{{x}}}"
+        )
     if not free:
         return _sentence(formula, booleans)
+    # From here on every atom is about x alone.
     if isinstance(formula, fo.LabelAtom):
         return xp.Label(formula.label)
     if isinstance(formula, fo.Eq):
-        if formula.left == formula.right:
-            return xp.TRUE
-        raise UnsupportedFormula(f"equality {formula} is not unary in {x}")
+        return xp.TRUE  # x = x
     if isinstance(formula, fo.Rel):
         # R(x, x) for our strict/irreflexive-by-structure relations is false.
-        if formula.left == formula.right == x:
-            return xp.FALSE
-        raise UnsupportedFormula(f"relational atom {formula} is not unary in {x}")
+        return xp.FALSE
     if isinstance(formula, fo.Not):
         return xp.Not(_node(formula.operand, x, booleans))
     if isinstance(formula, fo.And):
@@ -265,12 +264,10 @@ def _node(formula: fo.Formula, x: str, booleans: bool) -> xp.NodeExpr:
     if isinstance(formula, fo.Forall):
         negated = fo.Exists(formula.var, nnf(fo.Not(formula.body)))
         return xp.Not(_node(negated, x, booleans))
-    if isinstance(formula, fo.TC):
-        if formula.source == formula.target:
-            raise UnsupportedFormula(
-                "TC loops [TC φ](x,x) need the paper's W normal form"
-            )
-        raise UnsupportedFormula(f"TC formula {formula} is not unary in {x}")
+    if isinstance(formula, fo.TC):  # both endpoints are x
+        raise UnsupportedFormula(
+            "TC loops [TC φ](x,x) need the paper's W normal form"
+        )
     raise UnsupportedFormula(f"no unary translation for {formula}")
 
 

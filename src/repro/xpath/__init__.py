@@ -48,9 +48,6 @@ from .normal_forms import (
     to_modal_form,
 )
 from .optimizer import (
-    CostModel,
-    QueryOptimizer,
-    SemanticKeyer,
     canonical_key,
     canonicalize,
     canonicalize_node,
@@ -84,9 +81,6 @@ __all__ = [
     "is_downward",
     "is_regular_xpath",
     "NotCoreXPath",
-    "CostModel",
-    "QueryOptimizer",
-    "SemanticKeyer",
     "canonical_key",
     "canonicalize",
     "canonicalize_node",

@@ -73,10 +73,11 @@ _COMPILES = obs.counter("xpath_plan_compile_total")
 def compile_path_plan(index: TreeIndex, expr: ast.PathExpr) -> PathPlan:
     """The compiled plan for ``expr`` on ``index``'s tree (cached).
 
-    Plans are keyed on the *canonical form* (see
-    :mod:`repro.xpath.optimizer`): a syntactic variant of an already-compiled
-    query stores an alias to the canonical plan instead of compiling a
-    duplicate, so equivalent-by-rewriting variants share one closure tree.
+    Plans are keyed on the *canonical form*
+    (:func:`repro.xpath.optimizer.canonicalize`): a syntactic variant of an
+    already-compiled query stores an alias to the canonical plan instead of
+    compiling a duplicate, so equivalent-by-rewriting variants share one
+    closure tree.
     """
     plan = index.path_plans.get(expr)
     if plan is None:

@@ -32,8 +32,9 @@ are cross-validated against the denotational reference semantics
 property-test suite.
 
 Both backends evaluate the *canonical form* of each query
-(:mod:`repro.xpath.optimizer`): public entry points canonicalize before
-evaluating (the bitset backend equivalently through canonical plan-cache
+(:func:`repro.xpath.optimizer.canonicalize`: the sound rewrite system plus
+an ordering of commutative operands): public entry points canonicalize
+before evaluating (the bitset backend equivalently through canonical plan-cache
 aliasing), so syntactic variants of one query share memo entries and
 compiled plans — and the two backends emit identical span structures for
 any input, which the differential corpus asserts.

@@ -1,84 +1,39 @@
-"""The cost-based adaptive query optimizer (canonical forms + backend choice).
+"""Canonical query forms: one key for every rewriting-equivalent variant.
 
 The paper's central theme is that syntactically different formalisms denote
-the *same* queries; this module exploits that operationally, in three layers:
-
-* **Canonicalization** (:func:`canonicalize` / :func:`canonical_key`) —
-  every query is driven through the sound rewrite system
-  (:mod:`repro.xpath.rewrite`) interleaved with a deterministic *ordering*
-  normalization of the commutative/associative operators (``|``, ``&`` on
-  paths; ``and``/``or`` on node expressions), to a fixpoint.  Two
-  syntactically different but equivalent-by-rewriting queries therefore
-  share one canonical form — and hence one compiled plan and one result
-  cache entry.  Every rule is semantics-preserving; the property suite
-  re-verifies ``eval(q) == eval(canon(q))`` on random expression/tree
-  pairs across both backends, and idempotence ``canon(canon(q)) == canon(q)``.
-
-* **Semantic key collapsing** (:class:`SemanticKeyer`) — canonicalization
-  is syntactic, so rewriting-inequivalent but semantically equal queries
-  (the Fletcher/Hellings containment line) still get distinct keys.  For
-  *downward* queries below a size bound, the keyer probes recent
-  representatives with the exact decision procedure
-  (:func:`repro.decision.exact_equivalent`) under a strict
-  :class:`~repro.runtime.budget.ExecutionBudget`, over the alphabet of
-  labels the two queries mention plus one fresh "other" label (unmentioned
-  labels are indistinguishable from the fresh one, so equivalence over
-  that alphabet transfers to every document).  A successful probe collapses
-  the new query onto the representative's key; a budget trip or
-  ineligibility just keeps the canonical key — collapsing is an
-  optimization, never a soundness requirement.
-
-* **Cost-based backend choice** (:class:`CostModel`) — instead of the
-  static "bitset unless the breaker is open" rule, the model estimates
-  per-query work on a given tree from :class:`~repro.trees.index.TreeIndex`
-  statistics (node count, per-label mask popcount selectivity, axis
-  fan-out class, star height) and blends the static estimate with the
-  *observed* per-backend seconds-per-unit (an EWMA fed by the service
-  after each fast-path run), picking ``sets`` vs ``bitset`` per
-  (query, tree).  Choices are counted in
-  ``optimizer_backend_choice_total{backend=...}``.
-
-:class:`QueryOptimizer` is the facade the service layer uses: it owns one
-keyer and one cost model and exposes ``prepare_node`` / ``prepare_path``
-(canonical AST + semantic cache key) and ``choose`` / ``observe``.
+the *same* queries; this module uses that operationally.  Every query is
+driven through the sound rewrite system (:mod:`repro.xpath.rewrite`)
+interleaved with a deterministic *ordering* normalization of the
+commutative/associative operators (``|``, ``&`` on paths; ``and``/``or`` on
+node expressions), to a fixpoint.  Two syntactically different but
+equivalent-by-rewriting queries therefore share one canonical form, and
+hence one compiled plan (:mod:`repro.xpath.engine.plan`) and one result
+cache entry (:func:`canonical_key`, used by
+:class:`~repro.service.cache.ResultCache`).  Every rule is
+semantics-preserving; the property suite re-verifies
+``eval(q) == eval(canon(q))`` on random expression/tree pairs across both
+backends, and idempotence ``canon(canon(q)) == canon(q)``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
-from .. import obs
-from ..runtime.budget import ExecutionBudget
-from ..runtime.errors import ReproError
-from ..trees.axes import Axis
-from ..trees.index import tree_index
 from . import ast
-from .fragments import is_downward, star_height
 from .rewrite import simplify
 from .unparse import unparse
 
 __all__ = [
-    "CostModel",
-    "QueryOptimizer",
-    "SemanticKeyer",
     "canonical_key",
     "canonicalize",
     "canonicalize_node",
     "canonicalize_path",
-    "labels_used",
 ]
 
 #: Fixpoint guard for the simplify/order interleaving; in practice the
 #: composition stabilizes after two rounds (order is idempotent, simplify is
 #: a fixpoint already), the cap only bounds pathological inputs.
 _MAX_ROUNDS = 32
-
-
-# ---------------------------------------------------------------------------
-# Canonicalization
-# ---------------------------------------------------------------------------
 
 
 def _sort_key(expr: "ast.PathExpr | ast.NodeExpr") -> tuple[int, str]:
@@ -187,318 +142,3 @@ def canonical_key(expr: "ast.PathExpr | ast.NodeExpr") -> str:
     canon = canonicalize(expr)
     prefix = "N" if isinstance(canon, ast.NodeExpr) else "P"
     return f"{prefix}:{unparse(canon)}"
-
-
-def labels_used(expr: "ast.PathExpr | ast.NodeExpr") -> frozenset[str]:
-    """Every label name the expression tests."""
-    return frozenset(
-        sub.name for sub in expr.walk() if isinstance(sub, ast.Label)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Semantic key collapsing (bounded decision-procedure probes)
-# ---------------------------------------------------------------------------
-
-
-class SemanticKeyer:
-    """Collapses equivalent-but-not-rewriting-equal queries onto one key.
-
-    Keeps a bounded LRU of *representative* canonical forms per sort
-    (node / path).  A new downward query below ``max_size`` is probed
-    against up to ``max_probes`` recent representatives with the exact
-    decision procedure under a per-probe :class:`ExecutionBudget`; on a
-    successful equivalence the new query adopts the representative's key.
-    Everything about the probe is best-effort: budget trips, oversize or
-    non-downward queries simply keep their canonical key.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_representatives: int = 64,
-        max_size: int = 16,
-        max_probes: int = 4,
-        probe_timeout: float = 0.05,
-        probe_steps: int = 20_000,
-    ) -> None:
-        self.max_representatives = max_representatives
-        self.max_size = max_size
-        self.max_probes = max_probes
-        self.probe_timeout = probe_timeout
-        self.probe_steps = probe_steps
-        self._lock = threading.Lock()
-        #: canonical key -> (canonical expr, final key) per sort.
-        self._reps: dict[str, OrderedDict] = {"N": OrderedDict(), "P": OrderedDict()}
-        self._collapsed = obs.counter("optimizer_semantic_collapse_total")
-        self._probes = obs.counter("optimizer_equivalence_probe_total")
-
-    def key_for(self, canon: "ast.PathExpr | ast.NodeExpr") -> str:
-        """The semantic cache key for an already-canonical expression."""
-        node_sort = isinstance(canon, ast.NodeExpr)
-        sort = "N" if node_sort else "P"
-        key = f"{sort}:{unparse(canon)}"
-        with self._lock:
-            reps = self._reps[sort]
-            hit = reps.get(key)
-            if hit is not None:
-                reps.move_to_end(key)
-                return hit[1]
-            candidates = [item for item in reversed(reps.values())][: self.max_probes]
-        if canon.size > self.max_size or not is_downward(canon):
-            return key
-        final = key
-        for rep_expr, rep_key in candidates:
-            if self._probe(canon, rep_expr, node_sort):
-                self._collapsed.inc()
-                final = rep_key
-                break
-        with self._lock:
-            reps = self._reps[sort]
-            if key not in reps:
-                reps[key] = (canon, final)
-                while len(reps) > self.max_representatives:
-                    reps.popitem(last=False)
-        return final
-
-    def _probe(self, left, right, node_sort: bool) -> bool:
-        """One bounded exact-equivalence probe; False on any trip or mismatch."""
-        from ..decision import exact_equivalent, exact_path_equivalent
-
-        if not is_downward(right):  # pragma: no cover - reps are downward
-            return False
-        # Unmentioned labels are indistinguishable: equivalence over the
-        # mentioned labels plus one fresh symbol transfers to all documents.
-        alphabet = tuple(sorted(labels_used(left) | labels_used(right))) + ("\x00other",)
-        budget = ExecutionBudget(
-            timeout=self.probe_timeout, max_steps=self.probe_steps
-        )
-        self._probes.inc()
-        exact = exact_equivalent if node_sort else exact_path_equivalent
-        try:
-            with obs.span("optimizer.equivalence_probe", budget=budget):
-                return exact(left, right, alphabet, budget) is None
-        except ReproError:
-            return False  # budget trip: keep the syntactic key
-
-
-# ---------------------------------------------------------------------------
-# Cost model
-# ---------------------------------------------------------------------------
-
-#: Relative per-node fan-out weight of each axis for the row-wise backend
-#: (how many nodes one step can touch, in units of "cheap one-step" = 1).
-_HEAVY_AXES = frozenset(
-    {
-        Axis.DESCENDANT,
-        Axis.ANCESTOR,
-        Axis.DESCENDANT_OR_SELF,
-        Axis.ANCESTOR_OR_SELF,
-        Axis.FOLLOWING,
-        Axis.PRECEDING,
-        Axis.FOLLOWING_SIBLING,
-        Axis.PRECEDING_SIBLING,
-    }
-)
-
-#: Bits per big-int word: the bitset backend's axis kernels touch whole
-#: masks, so its per-step cost scales with n / word size, not with the
-#: intermediate node-set cardinality.
-_WORD = 64.0
-
-
-class CostModel:
-    """Static per-(query, tree) work estimates, calibrated by observation.
-
-    ``estimate`` produces abstract work units for each backend from tree
-    and query features; ``choose`` converts units to predicted seconds
-    using each backend's observed seconds-per-unit EWMA (seeded with
-    priors measured on this code base) and picks the cheaper backend.
-    ``observe`` feeds a finished run back in.
-    """
-
-    #: Prior seconds-per-unit (measured magnitudes; the EWMA refines them).
-    _PRIOR_RATE = {"sets": 2e-6, "bitset": 2e-6}
-    _EWMA_ALPHA = 0.2
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rate = dict(self._PRIOR_RATE)
-        self._seen = {"sets": 0, "bitset": 0}
-        # Per-instance counts (for snapshots) alongside the process-wide
-        # obs counters (for the metrics export).
-        self._counts = {"sets": 0, "bitset": 0}
-        self._choices = {
-            backend: obs.counter("optimizer_backend_choice_total", backend=backend)
-            for backend in ("sets", "bitset")
-        }
-
-    # -- features ----------------------------------------------------------
-
-    @staticmethod
-    def features(expr: "ast.PathExpr | ast.NodeExpr", index) -> dict:
-        """Query/tree features driving the estimate (also exposed for tests)."""
-        n = max(1, index.n)
-        steps = 0
-        heavy = 0
-        stars = star_height(expr)
-        exists_count = 0
-        labels = []
-        for sub in expr.walk():
-            if isinstance(sub, ast.Step):
-                steps += 1
-                if sub.axis in _HEAVY_AXES:
-                    heavy += 1
-            elif isinstance(sub, ast.Exists):
-                exists_count += 1
-            elif isinstance(sub, ast.Label):
-                labels.append(sub.name)
-        selectivity = 1.0
-        for name in labels:
-            mask = index.label_masks.get(name, 0)
-            selectivity = min(selectivity, mask.bit_count() / n)
-        return {
-            "n": n,
-            "size": expr.size,
-            "steps": steps,
-            "heavy_steps": heavy,
-            "star_height": stars,
-            "exists": exists_count,
-            "selectivity": selectivity,
-        }
-
-    @classmethod
-    def estimate(cls, expr, index) -> dict:
-        """Abstract work units per backend for ``expr`` on ``index``'s tree."""
-        f = cls.features(expr, index)
-        n = f["n"]
-        # Sets backend: per-step cost follows the *intermediate cardinality*
-        # (selective label tests shrink it) times the axis fan-out; stars
-        # saturate level by level (≈ depth rounds over the frontier).
-        touched = max(1.0, n * f["selectivity"])
-        light = f["steps"] - f["heavy_steps"]
-        sets_units = (
-            f["size"]
-            + light * touched
-            + f["heavy_steps"] * touched * 4.0
-            + f["star_height"] * touched * 8.0
-            + f["exists"] * touched
-        )
-        # Bitset backend: whole-mask kernels cost n / word per step whatever
-        # the cardinality, plus a small per-query compile/dispatch overhead.
-        words = n / _WORD
-        bitset_units = (
-            f["size"] * 2.0
-            + (f["steps"] + f["exists"]) * max(1.0, words)
-            + f["star_height"] * max(1.0, words) * 4.0
-            + 16.0  # plan dispatch overhead floor
-        )
-        return {"sets": sets_units, "bitset": bitset_units, "features": f}
-
-    # -- adaptive choice ---------------------------------------------------
-
-    def choose(self, expr, tree) -> str:
-        """The cheaper backend for ``expr`` on ``tree`` (records the choice)."""
-        with obs.span("optimizer.cost"):
-            units = self.estimate(expr, tree_index(tree))
-        with self._lock:
-            rates = dict(self._rate)
-        predicted = {
-            backend: units[backend] * rates[backend]
-            for backend in ("sets", "bitset")
-        }
-        backend = min(predicted, key=predicted.get)
-        with self._lock:
-            self._counts[backend] += 1
-        self._choices[backend].inc()
-        return backend
-
-    def observe(self, backend: str, expr, tree, seconds: float) -> None:
-        """Fold one observed fast-path run into the backend's rate EWMA."""
-        if backend not in self._rate or seconds < 0:
-            return
-        units = self.estimate(expr, tree_index(tree))[backend]
-        if units <= 0:
-            return
-        rate = seconds / units
-        with self._lock:
-            self._seen[backend] += 1
-            alpha = (
-                1.0 if self._seen[backend] == 1 else self._EWMA_ALPHA
-            )
-            self._rate[backend] += alpha * (rate - self._rate[backend])
-
-    def rates(self) -> dict:
-        """The current seconds-per-unit calibration (for stats/tests)."""
-        with self._lock:
-            return dict(self._rate)
-
-    def choices(self) -> dict:
-        """How often each backend was chosen by this instance."""
-        with self._lock:
-            return dict(self._counts)
-
-
-# ---------------------------------------------------------------------------
-# Facade
-# ---------------------------------------------------------------------------
-
-
-class QueryOptimizer:
-    """Canonicalization + semantic keys + adaptive backend choice, one handle.
-
-    The service layer holds one instance per :class:`QueryService` (per
-    shard in the sharded tier — tree-affine routing keeps keys shard-local)
-    and calls:
-
-    * :meth:`prepare_node` / :meth:`prepare_path` at request-prepare time —
-      returns ``(canonical_expr, semantic_key)``;
-    * :meth:`choose` at execution time, when the breaker routes fast;
-    * :meth:`observe` after a successful fast run, to calibrate the model.
-    """
-
-    def __init__(
-        self,
-        *,
-        semantic_probes: bool = True,
-        keyer: SemanticKeyer | None = None,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        self.keyer = keyer if keyer is not None else (
-            SemanticKeyer() if semantic_probes else None
-        )
-        self.cost = cost_model if cost_model is not None else CostModel()
-        self._canon = obs.counter("optimizer_canonicalize_total")
-
-    def _prepare(self, expr):
-        with obs.span("optimizer.canonicalize"):
-            canon = canonicalize(expr)
-        self._canon.inc()
-        if self.keyer is not None:
-            key = self.keyer.key_for(canon)
-        else:
-            prefix = "N" if isinstance(canon, ast.NodeExpr) else "P"
-            key = f"{prefix}:{unparse(canon)}"
-        return canon, key
-
-    def prepare(
-        self, expr: "ast.PathExpr | ast.NodeExpr"
-    ) -> "tuple[ast.PathExpr | ast.NodeExpr, str]":
-        """Sort-agnostic prepare: ``(canonical expr, semantic cache key)``."""
-        return self._prepare(expr)
-
-    def prepare_node(self, expr: ast.NodeExpr) -> tuple[ast.NodeExpr, str]:
-        canon, key = self._prepare(expr)
-        assert isinstance(canon, ast.NodeExpr)
-        return canon, key
-
-    def prepare_path(self, expr: ast.PathExpr) -> tuple[ast.PathExpr, str]:
-        canon, key = self._prepare(expr)
-        assert isinstance(canon, ast.PathExpr)
-        return canon, key
-
-    def choose(self, expr, tree) -> str:
-        return self.cost.choose(expr, tree)
-
-    def observe(self, backend: str, expr, tree, seconds: float) -> None:
-        self.cost.observe(backend, expr, tree, seconds)

@@ -191,7 +191,7 @@ class TestServiceIntegration:
     def test_semantic_collapse_across_requests(self):
         registry = make_registry()
         with QueryService(
-            registry, workers=1, optimize=True, result_cache=True
+            registry, workers=1, result_cache=True
         ) as service:
             first, second = service.run_batch(
                 [
@@ -209,7 +209,7 @@ class TestServiceIntegration:
         registry = make_registry()
         request = QueryRequest(op="eval", query="<descendant[b]>", tree="chain")
         with QueryService(
-            registry, workers=1, optimize=True, result_cache=True
+            registry, workers=1, result_cache=True
         ) as service:
             stale = service.run_batch([request])[0]
             registry.register("chain", chain(6, labels=("b",)))
@@ -228,7 +228,7 @@ class TestServiceIntegration:
             QueryRequest(op="equivalent", left="<child[b]>", right="<descendant[b]>"),
         ]
         with QueryService(
-            registry, workers=1, optimize=True, result_cache=True
+            registry, workers=1, result_cache=True
         ) as service:
             results = service.run_batch(requests)
             events = service.stats_snapshot()["result_cache"]["events"]
@@ -246,7 +246,7 @@ class TestServiceIntegration:
             for i in range(16)
         ]
         with QueryService(
-            registry, workers=4, optimize=True, result_cache=True
+            registry, workers=4, result_cache=True
         ) as service:
             results = service.run_batch(requests)
             events = service.stats_snapshot()["result_cache"]["events"]
@@ -297,7 +297,7 @@ class TestSafety:
         with QueryService(registry, workers=2) as plain:
             expected = self._values(plain.run_batch(requests))
         with QueryService(
-            registry, workers=2, optimize=True, result_cache=True
+            registry, workers=2, result_cache=True
         ) as tuned:
             got = self._values(tuned.run_batch(requests))
             snap = tuned.stats_snapshot()
@@ -313,7 +313,6 @@ class TestSafety:
             registry,
             shards=2,
             workers_per_shard=1,
-            optimize=True,
             result_cache=True,
         ) as sharded:
             got = self._values(sharded.run_batch(requests))
@@ -332,7 +331,6 @@ class TestSafety:
         service = QueryService(
             registry,
             workers=2,
-            optimize=True,
             result_cache=True,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0001, max_delay=0.001),
             breaker_threshold=4,

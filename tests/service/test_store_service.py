@@ -255,7 +255,7 @@ class TestResultCacheGuard:
     def test_cache_stays_fresh_across_evict_and_mutate(self):
         registry, _ = make_registry()
         with QueryService(
-            registry, workers=2, optimize=True, result_cache=True
+            registry, workers=2, result_cache=True
         ) as svc:
             first = self.run(svc)
             assert first.status == "ok"

@@ -13,6 +13,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Query
 from repro.logic import formula_node_set, formula_pairs, parse_formula
 from repro.translations import (
     UnsupportedFormula,
@@ -20,7 +21,7 @@ from repro.translations import (
     mtc_to_path_expr,
     xpath_to_mtc,
 )
-from repro.trees import random_tree
+from repro.trees import parse_xml, random_tree
 from repro.xpath import ast as xp, node_set, parse_node, path_pairs
 from repro.xpath.fragments import Dialect
 from repro.xpath.random_exprs import ExprSampler
@@ -131,6 +132,32 @@ class TestFragmentBoundary:
     def test_same_variable_pair_rejected(self):
         with pytest.raises(ValueError):
             mtc_to_path_expr(parse_formula("a(x)"), "x", "x")
+
+
+class TestParameters:
+    """A [TC] body that mentions a variable other than its own pair (a
+    *parameter*) is outside the fragment.  It must be rejected, not filed as
+    a guard on the step's source, which answers a different query."""
+
+    def test_parameter_label_in_node_formula(self):
+        formula = parse_formula(
+            "exists y. tc[u,v](b(x) & child(u,v))(x,y) & leaf(y)"
+        )
+        tree = parse_xml("<b><a><a/></a></b>")
+        assert formula_node_set(tree, formula, "x") == {0}
+        with pytest.raises(UnsupportedFormula):
+            mtc_to_node_expr(formula, "x")
+        with pytest.raises(UnsupportedFormula):
+            Query.from_fo_mtc(formula, "x")
+
+    def test_negated_parameter_in_path_formula(self):
+        formula = parse_formula("tc[u,v](child(u,v) & ~a(x))(x,y)")
+        tree = parse_xml("<b><a><b/></a></b>")
+        assert formula_pairs(tree, formula, "x", "y") == {(0, 1), (0, 2)}
+        with pytest.raises(UnsupportedFormula):
+            mtc_to_path_expr(formula, "x", "y")
+        with pytest.raises(UnsupportedFormula):
+            Query.from_fo_mtc(formula, "x", "y")
 
 
 class TestConcurrentTranslation:

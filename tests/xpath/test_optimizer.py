@@ -1,4 +1,4 @@
-"""The cost-based query optimizer: canonical forms, semantic keys, cost model.
+"""Canonical query forms (``repro.xpath.optimizer``).
 
 The load-bearing properties are the two the module docstring promises —
 canonicalization is *idempotent* and *semantics-preserving* (checked
@@ -15,13 +15,10 @@ from hypothesis import given, settings
 
 from repro import obs
 from repro.testing import node_expressions, path_expressions, trees
-from repro.trees import chain, parse_xml, random_tree
+from repro.trees import chain, random_tree
 from repro.trees.index import tree_index
 from repro.xpath import (
-    CostModel,
     Evaluator,
-    QueryOptimizer,
-    SemanticKeyer,
     canonical_key,
     canonicalize,
     canonicalize_path,
@@ -30,9 +27,7 @@ from repro.xpath import (
     parse_path,
     path_pairs,
 )
-from repro.xpath import ast
 from repro.xpath.engine.plan import compile_node_plan, compile_path_plan
-from repro.xpath.optimizer import labels_used
 
 
 class TestCanonicalize:
@@ -97,10 +92,6 @@ class TestCanonicalize:
         assert canonical_key(parse_node("<child>")).startswith("N:")
         assert canonical_key(parse_path("child")).startswith("P:")
 
-    def test_labels_used(self):
-        expr = parse_node("<descendant[a and <right[b]>]>")
-        assert labels_used(expr) == {"a", "b"}
-
 
 class TestPlanCompileCount:
     """Satellite (a): canonical plan aliasing stops duplicate compilation."""
@@ -128,123 +119,3 @@ class TestPlanCompileCount:
         canon = canonicalize(raw)
         assert canon != raw
         assert compile_node_plan(index, raw) is compile_node_plan(index, canon)
-
-
-class TestCostModel:
-    def setup_method(self):
-        self.model = CostModel()
-
-    def test_features_selectivity_bounds(self):
-        tree = parse_xml("<a><b/><b/><c/></a>")
-        index = tree_index(tree)
-        f = CostModel.features(parse_node("<descendant[b]>"), index)
-        assert 0.0 <= f["selectivity"] <= 1.0
-        assert f["heavy_steps"] == 1
-        # A label absent from the tree is perfectly selective.
-        absent = CostModel.features(parse_node("<descendant[z]>"), index)
-        assert absent["selectivity"] == 0.0
-
-    def test_estimate_scales_with_tree_size(self):
-        expr = parse_node("<descendant[a]>")
-        small = CostModel.estimate(expr, tree_index(chain(8, labels=("a",))))
-        large = CostModel.estimate(expr, tree_index(chain(512, labels=("a",))))
-        assert large["bitset"] > small["bitset"]
-        assert large["sets"] > small["sets"]
-
-    def test_choose_prefers_sets_on_tiny_trees(self):
-        # The bitset dispatch floor dominates a 4-node document.
-        tree = parse_xml("<a><b/><b/><c/></a>")
-        assert self.model.choose(parse_node("<child[b]>"), tree) == "sets"
-
-    def test_choose_prefers_bitset_on_star_heavy_work(self):
-        tree = chain(512, labels=("a", "b"))
-        expr = parse_path("(child[a] | child[b])*")
-        assert self.model.choose(expr, tree) == "bitset"
-
-    def test_observe_calibrates_rates(self):
-        tree = chain(64, labels=("a", "b"))
-        expr = parse_node("<descendant[a]>")
-        units = CostModel.estimate(expr, tree_index(tree))["bitset"]
-        self.model.observe("bitset", expr, tree, seconds=units * 5e-6)
-        # The first observation replaces the prior outright (alpha=1).
-        assert self.model.rates()["bitset"] == pytest.approx(5e-6)
-        self.model.observe("bitset", expr, tree, seconds=units * 1e-5)
-        rate = self.model.rates()["bitset"]
-        assert 5e-6 < rate < 1e-5  # EWMA moves toward, not onto, the sample
-
-    def test_choice_adapts_to_observed_latency(self):
-        tree = parse_xml("<a><b/><b/><c/></a>")
-        expr = parse_node("<child[b]>")
-        assert self.model.choose(expr, tree) == "sets"
-        # Feed back a pathologically slow sets run: the choice flips.
-        units = CostModel.estimate(expr, tree_index(tree))["sets"]
-        self.model.observe("sets", expr, tree, seconds=units * 1.0)
-        assert self.model.choose(expr, tree) == "bitset"
-
-    def test_observe_ignores_unknown_backend_and_bad_samples(self):
-        tree = parse_xml("<a/>")
-        expr = parse_node("<child>")
-        before = self.model.rates()
-        self.model.observe("oracle", expr, tree, seconds=1.0)
-        self.model.observe("sets", expr, tree, seconds=-1.0)
-        assert self.model.rates() == before
-
-
-class TestSemanticKeyer:
-    def test_probe_collapses_equivalent_downward_queries(self):
-        keyer = SemanticKeyer()
-        base = canonicalize(parse_path("descendant"))
-        variant = canonicalize(parse_path("descendant[a] | descendant"))
-        assert keyer.key_for(variant) == keyer.key_for(base)
-
-    def test_inequivalent_queries_keep_distinct_keys(self):
-        keyer = SemanticKeyer()
-        left = canonicalize(parse_node("<descendant[a]>"))
-        right = canonicalize(parse_node("<descendant[b]>"))
-        assert keyer.key_for(left) != keyer.key_for(right)
-
-    def test_budget_trip_keeps_syntactic_key(self):
-        # With a one-step probe budget every probe trips; collapsing is an
-        # optimization, so the keyer must degrade to canonical keys.
-        keyer = SemanticKeyer(probe_steps=1, probe_timeout=1e-9)
-        base = canonicalize(parse_path("descendant"))
-        variant = canonicalize(parse_path("descendant[a] | descendant"))
-        assert keyer.key_for(base) != keyer.key_for(variant)
-
-    def test_oversize_and_non_downward_skip_probes(self):
-        keyer = SemanticKeyer(max_size=2)
-        big = canonicalize(parse_path("descendant[a] | descendant"))
-        assert keyer.key_for(big) == canonical_key(big)
-        upward = canonicalize(parse_path("parent[a]"))
-        assert keyer.key_for(upward) == canonical_key(upward)
-
-    def test_representative_set_is_bounded(self):
-        keyer = SemanticKeyer(max_representatives=4)
-        for i in range(16):
-            keyer.key_for(canonicalize(parse_node(f"<descendant[l{i}]>")))
-        assert len(keyer._reps["N"]) <= 4
-
-
-class TestQueryOptimizerFacade:
-    def test_prepare_returns_canonical_and_key(self):
-        opt = QueryOptimizer(semantic_probes=False)
-        raw = parse_node("<child/child*[b]>")
-        canon, key = opt.prepare(raw)
-        assert canon == canonicalize(raw)
-        assert key == canonical_key(raw)
-
-    def test_prepare_path_and_node_type_narrow(self):
-        opt = QueryOptimizer(semantic_probes=False)
-        canon, _ = opt.prepare_path(parse_path("child/child*"))
-        assert isinstance(canon, ast.PathExpr)
-        canon, _ = opt.prepare_node(parse_node("<child>"))
-        assert isinstance(canon, ast.NodeExpr)
-
-    def test_choose_and_observe_round_trip(self):
-        opt = QueryOptimizer(semantic_probes=False)
-        tree = chain(64, labels=("a", "b"))
-        expr = parse_node("<descendant[a]>")
-        backend = opt.choose(expr, tree)
-        assert backend in ("sets", "bitset")
-        opt.observe(backend, expr, tree, seconds=1e-4)
-        assert opt.cost.rates()[backend] > 0
