@@ -16,7 +16,8 @@ the serving path:
   store load + the feeder's wait-out-the-restart path, end to end.
 
 * **recovery replay** — :func:`repro.trees.wal.recover` folding a
-  300-edit log (snapshot cadence 64) back into a verified registry.
+  300-edit log (checkpoint cadence 64: the tree's checkpoint plus the
+  records after it) back into a verified registry.
 
 Record results with::
 
@@ -76,7 +77,7 @@ def test_mutate_with_wal(benchmark, registry_2048, tmp_path, policy):
 
 
 def test_recovery_replay(benchmark, tmp_path):
-    """R1 recovery arm: snapshot + suffix replay of a 300-edit history."""
+    """R1 recovery arm: checkpoint + later records of a 300-edit history."""
     benchmark.group = "R1 recovery replay"
     registry = TreeRegistry()
     wal = WriteAheadLog.open(tmp_path / "wal", fsync="never", snapshot_every=64)
@@ -89,7 +90,7 @@ def test_recovery_replay(benchmark, tmp_path):
     assert recovered.epoch("doc") == registry.epoch("doc")
     assert recovered.get("doc") == registry.get("doc")
     benchmark.extra_info["edits"] = 300
-    benchmark.extra_info["snapshot_every"] = 64
+    benchmark.extra_info["checkpoint_every"] = 64
 
 
 def test_shard_kill_mttr(benchmark, registry_2048):

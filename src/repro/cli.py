@@ -46,9 +46,9 @@ Commands:
 * ``store verify DIR [NAME]`` — check every section checksum of one or all
   stored trees and rebuild their indexes; corrupt files exit with code 3;
 * ``recover DIR`` — validate and replay a write-ahead log directory
-  offline: truncates a torn tail, folds the latest snapshot plus the log
-  suffix into a registry, verifies every replayed tree against its
-  recorded digest, and prints the per-tree epoch/size summary.
+  offline: truncates a torn tail, loads each tree's checkpoint and folds
+  the tree's later log records onto it, verifies every replayed tree
+  against its recorded digest, and prints the per-tree epoch/size summary.
 
 Observability (``eval`` / ``select`` / ``check`` / ``batch``):
 
@@ -304,8 +304,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         from .trees.wal import WriteAheadLog, recover
 
         # Opening first truncates a torn tail left by a crash mid-append;
-        # recovery then folds snapshot + intact suffix into the registry so
-        # a restarted batch resumes exactly where the last one stopped.
+        # recovery then folds checkpoints + later records into the registry
+        # so a restarted batch resumes exactly where the last one stopped.
         wal = WriteAheadLog.open(args.wal)
         registry = recover(args.wal, registry=registry)
         registry.attach_wal(wal)
@@ -668,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--wal",
         metavar="DIR",
-        help="durable mutation write-ahead log: replay DIR's snapshot+log "
+        help="durable mutation write-ahead log: replay DIR's checkpoints+log "
         "before --tree registrations, then append every registration and "
         "edit to it before publication (see 'repro recover')",
     )

@@ -1,11 +1,14 @@
-"""``repro batch``: JSONL framing, ordering, exit-code contract, chaos flag."""
+"""``repro batch``: JSONL framing, ordering, exit-code contract, chaos flag,
+and a restart from ``--wal`` over a store that evicted trees."""
 
 import io
 import json
+import random
 
 import pytest
 
 from repro.cli import main
+from repro.trees import index_nbytes, random_tree, to_xml, tree_index
 
 DOC = "<talk><speaker/><title><i/></title><location><i/><b/></location></talk>"
 
@@ -102,6 +105,47 @@ class TestBatchResultCache:
         lines, stats = self._run(tmp_path, doc_file, capsys)
         assert [line["routed"] for line in lines] == ["bitset", "bitset"]
         assert "result_cache" not in stats
+
+
+class TestBatchWalWithStore:
+    def test_restart_recovers_evicted_trees(self, tmp_path, capsys):
+        # Four 64-node trees under a 2.5-tree budget, and more mutations
+        # than one checkpoint cadence (256 records): most trees are evicted
+        # when their checkpoints come due.
+        rng = random.Random(23)
+        trees = [random_tree(64, ("a", "b"), rng) for _ in range(4)]
+        budget = sum(index_nbytes(tree_index(tree)) for tree in trees) * 5 // 8
+        specs = []
+        for i, tree in enumerate(trees):
+            path = tmp_path / f"t{i}.xml"
+            path.write_text(to_xml(tree))
+            specs += ["--tree", f"t{i}={path}"]
+        edits = [
+            {"op": "mutate", "tree": f"t{k % 4}",
+             "edit": {"kind": "relabel", "node": k % 64, "label": "ab"[k % 2]}}
+            for k in range(304)
+        ]
+        wal = str(tmp_path / "wal")
+        durable = ["--wal", wal, "--store", str(tmp_path / "store"),
+                   "--resident-budget", str(budget)]
+        requests = _write_requests(tmp_path, [json.dumps(r) for r in edits])
+        assert main(["batch", requests, *durable, *specs]) == 0
+        lines, _ = _output_lines(capsys)
+        assert [line["status"] for line in lines] == ["ok"] * 304
+
+        assert main(["recover", wal]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert listed[0] == f"recovered 4 tree(s) from {wal}:"
+        assert listed[1:] == [f"  t{i}: epoch 77, 64 node(s)" for i in range(4)]
+
+        reads = [
+            {"op": "eval", "query": "a", "tree": f"t{i}", "min_epoch": 77}
+            for i in range(4)
+        ]
+        requests = _write_requests(tmp_path, [json.dumps(r) for r in reads])
+        assert main(["batch", requests, *durable]) == 0
+        lines, _ = _output_lines(capsys)
+        assert [line["status"] for line in lines] == ["ok"] * 4
 
 
 class TestBatchErrorContract:

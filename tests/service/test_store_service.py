@@ -173,6 +173,20 @@ class TestEviction:
         _, loaded_epoch = registry.snapshot(name)
         assert loaded_epoch == epoch
 
+    def test_cold_tree_reports_its_stored_epoch(self):
+        registry, store = make_registry()
+        for i, name in enumerate(sorted(DOCS)):
+            for _ in range(i + 1):
+                registry.mutate(name, {"kind": "relabel", "node": 0, "label": "c"})
+        fresh = TreeRegistry()
+        fresh.attach_store(store)
+        loads = obs.counter("store_loads_total", event="ok").value
+        assert [fresh.epoch(name) for name in sorted(DOCS)] == [2, 3, 4, 5]
+        assert fresh.epoch("ghost") == 0
+        # Read from the headers: nothing was loaded.
+        assert fresh.resident_names() == []
+        assert obs.counter("store_loads_total", event="ok").value == loads
+
     def test_pin_epoch_stable_across_evict_of_other_trees(self):
         registry, _ = make_registry(budget_trees=1.5)
         names = sorted(DOCS)

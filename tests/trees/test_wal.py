@@ -1,4 +1,4 @@
-"""The mutation write-ahead log: framing, torn tails, snapshots, recovery.
+"""The mutation write-ahead log: framing, torn tails, checkpoints, recovery.
 
 The durability contract under test:
 
@@ -15,8 +15,12 @@ The durability contract under test:
   aborts the mutation with both the registry and the log untouched, and
   so does a store pack that fails after the append (the record is
   retracted);
-* **snapshots are an optimization**: they bound replay, prune to the
-  latest two, and a tampered snapshot falls back to older history.
+* **checkpoints are an optimization**: one RSTR file per tree bounds
+  replay; a corrupt or missing checkpoint falls back to the log, a failed
+  checkpoint write fails no publish, and a checkpoint ahead of a log that
+  lost its unsynced tail recovers at the checkpoint's epoch;
+* **no tree drops out**: trees a store evicted, or that were cold when the
+  log was attached, recover like resident ones.
 """
 
 from __future__ import annotations
@@ -29,10 +33,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.runtime import faults
 from repro.runtime.errors import InjectedFaultError, WalCorruptError
 from repro.service import TreeRegistry
-from repro.trees import Tree, WriteAheadLog, parse_xml, random_tree, tree_digest
+from repro.trees import (
+    Tree,
+    TreeStore,
+    WriteAheadLog,
+    index_nbytes,
+    parse_xml,
+    random_tree,
+    tree_digest,
+)
 from repro.trees.mutate import (
     DeleteSubtree,
     InsertSubtree,
@@ -389,17 +402,25 @@ def test_batched_fsync_counts_appends(tmp_path):
     wal.close()
 
 
-# -- snapshots ---------------------------------------------------------------
+# -- checkpoints -------------------------------------------------------------
 
 
 def test_snapshot_cadence_and_pruning(tmp_path):
+    # One RSTR checkpoint per tree, replaced in place (nothing to prune),
+    # written at the tree's first publish past each multiple of the cadence.
     registry, wal = _registry_with_wal(tmp_path, snapshot_every=4)
-    registry.register("doc", parse_xml("<a><b/></a>"))
-    for _ in range(14):
+    written = obs.counter("wal_checkpoints_total", event="ok").value
+    registry.register("doc", parse_xml("<a><b/></a>"))  # seq 1
+    registry.register("other", Tree.leaf("o"))  # seq 2
+    for _ in range(13):  # seq 3..15: due at seq 4, 8 and 12
         registry.mutate("doc", Relabel(1, "z"))
-    snapshots = sorted((tmp_path / "wal").glob("snapshot-*.json"))
-    assert len(snapshots) == 2  # pruned to the latest two
-    assert snapshots[-1].name == "snapshot-000000000012.json"
+    registry.mutate("other", Relabel(0, "p"))  # seq 16: first past 4
+    checkpoints = tmp_path / "wal" / "checkpoints"
+    assert sorted(p.name for p in checkpoints.iterdir()) == ["doc.rstr", "other.rstr"]
+    assert TreeStore(checkpoints).epoch("doc") == 11  # published at seq 12
+    assert TreeStore(checkpoints).epoch("other") == 2
+    assert obs.counter("wal_checkpoints_total", event="ok").value == written + 4
+    assert not list((tmp_path / "wal").glob("*.json"))
     wal.close()
     assert_recovered_matches(recover(tmp_path / "wal"), registry)
 
@@ -407,18 +428,111 @@ def test_snapshot_cadence_and_pruning(tmp_path):
 def test_recovery_prefers_snapshot_but_survives_tampering(tmp_path):
     registry, wal = _registry_with_wal(tmp_path, snapshot_every=3)
     registry.register("doc", parse_xml("<a><b/></a>"))
-    for label in "zwxyv":
+    for label in "zwxyvu":  # epochs 2..7; checkpointed at epochs 3 and 6
         registry.mutate("doc", Relabel(1, label))
     wal.close()
-    snapshots = sorted((tmp_path / "wal").glob("snapshot-*.json"))
-    assert snapshots, "cadence must have produced snapshots"
-    # Tampered newest snapshot: recovery falls back to older history
-    # (an older snapshot or the full log) and still converges.
-    snapshots[-1].write_bytes(b"garbage that is not a frame\n")
+    checkpoint = tmp_path / "wal" / "checkpoints" / "doc.rstr"
+
+    def replayed():
+        before = obs.REGISTRY.total("wal_records_replayed_total")
+        assert_recovered_matches(recover(tmp_path / "wal"), registry)
+        return obs.REGISTRY.total("wal_records_replayed_total") - before
+
+    assert replayed() == 1  # the checkpoint, then only epoch 7's record
+    # A corrupt checkpoint is skipped: the log replays the whole history.
+    blob = bytearray(checkpoint.read_bytes())
+    blob[-1] ^= 0xFF
+    checkpoint.write_bytes(bytes(blob))
+    assert replayed() == 7
+    # No checkpoint at all: the log alone carries the full history.
+    checkpoint.unlink()
+    assert replayed() == 7
+
+
+def test_checkpoint_ahead_of_a_truncated_log(tmp_path):
+    # With batched fsyncs a checkpoint can reach the disk while the records
+    # before it are lost with the log's unsynced tail.
+    registry, wal = _registry_with_wal(tmp_path, snapshot_every=2, fsync="never")
+    registry.register("doc", parse_xml("<a><b/><c/></a>"))
+    for label in "zwx":  # epochs 2..4; checkpointed at epochs 2 and 4
+        registry.mutate("doc", Relabel(1, label))
+    wal.close()
+    log = tmp_path / "wal" / "wal.jsonl"
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:2]))
+
+    recovered = recover(tmp_path / "wal")
+    assert_recovered_matches(recovered, registry)
+    assert recovered.epoch("doc") == 4
+    # The reopened log resumes after the surviving records, the registry
+    # at the checkpoint's next epoch; recovery replays it on the checkpoint.
+    wal2 = WriteAheadLog.open(tmp_path / "wal", snapshot_every=4)
+    assert wal2.last_seq == 2
+    recovered.attach_wal(wal2)
+    assert recovered.mutate("doc", Relabel(2, "y"))[1] == 5
+    wal2.close()
+    again = recover(tmp_path / "wal")
+    assert_recovered_matches(again, recovered)
+    assert again.get("doc").labels == ("a", "x", "y")
+
+
+def test_failed_checkpoint_write_fails_no_publish(tmp_path, monkeypatch):
+    registry, wal = _registry_with_wal(tmp_path, snapshot_every=2)
+    failed = obs.counter("wal_checkpoints_total", event="error").value
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(TreeStore, "pack", full_disk)
+    registry.register("doc", parse_xml("<a><b/></a>"))
+    for label in "zwx":
+        registry.mutate("doc", Relabel(1, label))
+    assert registry.epoch("doc") == 4
+    assert obs.counter("wal_checkpoints_total", event="error").value == failed + 2
+    assert not list((tmp_path / "wal").rglob("*.rstr"))
+    wal.close()
     assert_recovered_matches(recover(tmp_path / "wal"), registry)
-    # All snapshots gone: the log alone carries the full history.
-    for path in snapshots:
-        path.unlink()
+
+
+# -- trees a store evicted, or never loaded, stay in the durable history -----
+
+
+def _store_backed(tmp_path, registry):
+    """Four 64-node trees under a store budget of 2.5 trees (two resident)."""
+    rng = random.Random(23)
+    docs = {f"t{i}": random_tree(64, ("a", "b"), rng) for i in range(4)}
+    budget = sum(index_nbytes(tree_index(tree)) for tree in docs.values()) * 5 // 8
+    registry.attach_store(TreeStore(tmp_path / "store"), resident_budget=budget)
+    for name, tree in docs.items():
+        registry.register(name, tree)
+    assert registry.resident_names() == ["t2", "t3"]
+    return registry
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        "t0 t1 t2 t3 t3",  # the last checkpoints cover evicted trees
+        "t0 t1 t2 t3 t0",  # the last record edits a tree evicted meanwhile
+    ],
+)
+def test_recovery_keeps_evicted_trees(tmp_path, order):
+    registry, wal = _registry_with_wal(tmp_path, snapshot_every=2)
+    _store_backed(tmp_path, registry)
+    for name in order.split():
+        registry.mutate(name, Relabel(0, "r"))
+    wal.close()
+    assert_recovered_matches(recover(tmp_path / "wal"), registry)
+
+
+def test_mutating_a_tree_cold_at_attach_logs_it_first(tmp_path):
+    registry = _store_backed(tmp_path, TreeRegistry())
+    wal = WriteAheadLog.open(tmp_path / "wal", snapshot_every=2)
+    registry.attach_wal(wal)
+    assert wal.known_trees == {"t2", "t3"}  # t0 and t1 were cold
+    registry.mutate("t0", Relabel(0, "r"))
+    registry.mutate("t1", Relabel(0, "r"))
+    assert wal.known_trees == {"t0", "t1", "t2", "t3"}
+    wal.close()
     assert_recovered_matches(recover(tmp_path / "wal"), registry)
 
 
