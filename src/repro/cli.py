@@ -48,7 +48,8 @@ Commands:
 * ``recover DIR`` — validate and replay a write-ahead log directory
   offline: truncates a torn tail, loads each tree's checkpoint and folds
   the tree's later log records onto it, verifies every replayed tree
-  against its recorded digest, and prints the per-tree epoch/size summary.
+  against its recorded digest, and prints the per-tree epoch/size summary;
+  a DIR that does not exist exits with code 3 and creates nothing.
 
 Observability (``eval`` / ``select`` / ``check`` / ``batch``):
 
@@ -83,6 +84,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import obs
@@ -463,6 +465,10 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     from .trees.wal import WriteAheadLog, recover
 
+    # Opening a log creates its directory: a mistyped path must fail (exit
+    # 3), not read as an empty log and leave a new directory behind.
+    if not os.path.isdir(args.directory):
+        raise FileNotFoundError(f"no WAL directory at {args.directory}")
     # Open/close first so a torn tail is truncated exactly as a restarted
     # writer would; recover() itself only *tolerates* one at the tail.
     WriteAheadLog.open(args.directory).close()

@@ -33,7 +33,8 @@
    :data:`repro.runtime.guarded.stats`).  Open: straight to the oracle.
    Half-open: one probe request tests the fast path and closes or
    re-opens the breaker.  ``equivalent`` requests run the decision
-   procedures directly (no backend split, no breaker).  The engine run
+   procedures directly (no backend split, no breaker), once per prepared
+   plan: later requests get the memoized verdict.  The engine run
    itself is the service's *runner* (:meth:`QueryService._run`): here,
    one run of the prepared plan on the worker's thread; in
    :class:`~repro.service.shards.ShardedQueryService`, a round trip to the
@@ -198,8 +199,9 @@ class Unserved(BaseException):
 # state), so they are safe to share across requests and threads; compiled
 # *plans* are cached structurally on the per-tree TreeIndex.  Runners carry
 # the result cache's key material: ``run.expr`` (the parsed XPath AST for
-# eval/select, keyed by its canonical form) and ``run.cache_text`` (a
-# ready-made key for ops whose queries the canonicalizer does not cover).
+# eval/select) and ``run.cache_text`` (a ready-made key for ops whose
+# queries the canonicalizer does not cover; for eval/select, the canonical
+# key of ``run.expr``, filled in by the first cached request).
 
 
 def _parse_any(text: str):
@@ -212,14 +214,15 @@ def _parse_any(text: str):
 
 
 def _prepare_eval(request: QueryRequest):
-    from ..xpath import parse_node
-    from ..xpath.evaluator import Evaluator
+    from ..xpath import BitsetEvaluator, SetEvaluator, parse_node
+    from ..xpath.engine import to_ids
 
     expr = parse_node(request.query)
 
     def run(tree, budget, fast):
-        backend = "bitset" if fast else "sets"
-        return sorted(Evaluator(tree, backend=backend, budget=budget).nodes(expr))
+        if fast:  # the sorted ids straight from the mask
+            return to_ids(BitsetEvaluator(tree, budget=budget).node_mask(expr))
+        return sorted(SetEvaluator(tree, budget=budget).nodes(expr))
 
     run.expr = expr
     run.cache_text = None
@@ -227,14 +230,15 @@ def _prepare_eval(request: QueryRequest):
 
 
 def _prepare_select(request: QueryRequest):
-    from ..xpath import parse_path
-    from ..xpath.evaluator import Evaluator
+    from ..xpath import BitsetEvaluator, SetEvaluator, parse_path
+    from ..xpath.engine import to_ids
 
     expr = parse_path(request.query)
 
     def run(tree, budget, fast):
-        backend = "bitset" if fast else "sets"
-        return sorted(Evaluator(tree, backend=backend, budget=budget).image(expr, {0}))
+        if fast:  # sources: the root's bit
+            return to_ids(BitsetEvaluator(tree, budget=budget).image_mask(expr, 1))
+        return sorted(SetEvaluator(tree, budget=budget).image(expr, {0}))
 
     run.expr = expr
     run.cache_text = None
@@ -279,7 +283,7 @@ def _prepare_equivalent(request: QueryRequest):
     alphabet = tuple(request.alphabet)
     node_sort = isinstance(left, xp.NodeExpr)
 
-    def run(tree, budget, fast):
+    def decide(budget) -> dict:
         from ..decision import (
             check_node_equivalence,
             check_path_equivalence,
@@ -307,6 +311,18 @@ def _prepare_equivalent(request: QueryRequest):
                 else str(report.counterexample)
             ),
         }
+
+    # Both methods are deterministic in (left, right, alphabet), so the
+    # first verdict is every later one's: it lives as long as this prepared
+    # runner.  A budget or deadline error stores nothing, and two workers
+    # racing on the first request both store the same verdict.
+    verdict = None
+
+    def run(tree, budget, fast):
+        nonlocal verdict
+        if verdict is None:
+            verdict = decide(budget)
+        return dict(verdict)  # a copy: callers cannot edit a later answer
 
     run.expr = None
     # Equivalence answers are tree-independent (corpus/exact decision);
@@ -796,7 +812,8 @@ class QueryService:
         if text is None:
             from ..xpath.optimizer import canonical_key
 
-            text = canonical_key(plan.expr)
+            # Once per prepared runner; racing workers store the same key.
+            text = plan.cache_text = canonical_key(plan.expr)
         return (request.op, request.tree or "", text)
 
     def _attempt(

@@ -17,7 +17,9 @@ Precomputed state, none of it a table of one mask per node:
   (for ``child``/``parent``) and by subtree size (for ``right``/``left``,
   since the next sibling of ``v`` is exactly ``v + subtree_size(v)``).
   A one-step image is then a union of ``(mask & group) << delta`` — a few
-  big-int shifts instead of a Python-level loop over nodes;
+  big-int shifts instead of a Python-level loop over nodes.  A frontier of
+  at most half as many nodes as there are groups steps node by node
+  through the tree columns instead (the direction-optimizing switch);
 * local-type flag masks (leaf / first sibling / last sibling) and
   *last-child* delta groups, which turn a walking automaton's observation
   dispatch and down moves into mask intersections and grouped shifts;
@@ -69,6 +71,29 @@ def _grow_prefix(n: int) -> None:
                 _PREFIX.append(mask)
 
 
+#: Fewest shift groups for which a one-step kernel tests the frontier's
+#: popcount at all.  Below it the grouped shifts are a few big-int ops and
+#: the test alone costs more than it saves (a chain has one delta group).
+_SPARSE_MIN_GROUPS = 8
+
+
+def _sparse_limit(groups: list) -> int:
+    """The largest frontier a one-step kernel steps node by node."""
+    return len(groups) // 2 if len(groups) >= _SPARSE_MIN_GROUPS else 0
+
+
+def _map_bits(S: int, column: tuple[int, ...]) -> int:
+    """The image of ``S`` under the node-to-node ``column`` (-1 = none)."""
+    acc = 0
+    while S:
+        low = S & -S
+        S ^= low
+        target = column[low.bit_length() - 1]
+        if target >= 0:
+            acc |= 1 << target
+    return acc
+
+
 class Scope:
     """An evaluation scope: the subtree rooted at ``root`` as an interval."""
 
@@ -93,11 +118,11 @@ class TreeIndex:
     and every query on the same tree.
 
     The index keeps the tree's immutable ``labels``, ``parent`` (as
-    ``parents``; ``parent`` is the axis kernel) and ``next_sibling``
-    tuples, never the :class:`Tree` itself: the tree holds its index, and
-    nothing the index holds — tables, scopes, cached plans — refers back to
-    either, so a generation is freed by reference counting as soon as its
-    last holder lets go.
+    ``parents``; ``parent`` is the axis kernel), ``next_sibling`` and
+    ``prev_sibling`` tuples, never the :class:`Tree` itself: the tree holds
+    its index, and nothing the index holds — tables, scopes, cached plans —
+    refers back to either, so a generation is freed by reference counting
+    as soon as its last holder lets go.
     """
 
     def __init__(self, tree: Tree):
@@ -205,6 +230,11 @@ class TreeIndex:
         self.labels = tree.labels
         self.parents = tree.parent
         self.next_sibling = tree.next_sibling
+        self.prev_sibling = tree.prev_sibling
+        #: Frontier popcounts up to which the one-step kernels go node by
+        #: node (0 = never); see "one-step kernels" below.
+        self.sparse_child = _sparse_limit(self.delta_groups)
+        self.sparse_sib = _sparse_limit(self.sib_groups)
         _grow_prefix(self.n)  # the kernels index it up to n
         self._after_leq: list[int] | None = None  # lazy, for `preceding`
         self._children: dict[int, int] = {}  # lazy, see children_mask
@@ -237,12 +267,35 @@ class TreeIndex:
         """
         return MethodType(AXIS_KERNELS[axis], self)
 
-    # -- one-step kernels (grouped shift-and-mask) ------------------------
+    # -- one-step kernels ----------------------------------------------------
+    #
+    # Direction-optimizing (Beamer, Asanović and Patterson, SC 2012): a
+    # frontier of at most ``sparse_child`` / ``sparse_sib`` nodes steps node
+    # by node through the tree columns; a larger one pays one grouped
+    # shift-and-mask per distinct offset.  A limit of 0 skips even the
+    # popcount test.
 
     def self_(self, S: int, sc: Scope) -> int:
         return S
 
     def child(self, S: int, sc: Scope) -> int:
+        limit = self.sparse_child
+        if limit and S.bit_count() <= limit:
+            # Each source's children: v + 1, then next_sibling.  Never the
+            # children_mask memo, which would keep one mask per parent.
+            after = self.after
+            next_sibling = self.next_sibling
+            acc = 0
+            while S:
+                low = S & -S
+                S ^= low
+                v = low.bit_length() - 1
+                if after[v] > v + 1:
+                    c = v + 1
+                    while c >= 0:
+                        acc |= 1 << c
+                        c = next_sibling[c]
+            return acc
         # v is a child of a source iff (v - delta(v)) is a source.
         acc = 0
         for d, gmask in self.delta_groups:
@@ -251,6 +304,9 @@ class TreeIndex:
 
     def parent(self, S: int, sc: Scope) -> int:
         S &= ~sc.root_bit  # the scope root navigates like a tree root
+        limit = self.sparse_child
+        if limit and S.bit_count() <= limit:
+            return _map_bits(S, self.parents)
         acc = 0
         for d, gmask in self.delta_groups:
             acc |= (S & gmask) >> d
@@ -258,6 +314,9 @@ class TreeIndex:
 
     def right(self, S: int, sc: Scope) -> int:
         S &= ~sc.root_bit
+        limit = self.sparse_sib
+        if limit and S.bit_count() <= limit:
+            return _map_bits(S, self.next_sibling)
         acc = 0
         for s, gmask in self.sib_groups:
             acc |= (S & gmask) << s
@@ -265,6 +324,9 @@ class TreeIndex:
 
     def left(self, S: int, sc: Scope) -> int:
         S &= ~sc.root_bit
+        limit = self.sparse_sib
+        if limit and S.bit_count() <= limit:
+            return _map_bits(S, self.prev_sibling)
         acc = 0
         for s, gmask in self.sib_groups:
             acc |= (S >> s) & gmask

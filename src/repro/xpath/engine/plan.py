@@ -310,37 +310,31 @@ class BitsetEvaluator(Evaluator):
     # -- public API -------------------------------------------------------
 
     def nodes(self, expr: ast.NodeExpr, scope: int | None = None) -> frozenset[int]:
-        faults.check("xpath.bitset")
-        with obs.span("xpath.nodes", budget=self.budget, backend=self.backend):
-            mask = self._node_mask(expr, self.index.scope(scope))
-            if self.budget is not None:
-                self.budget.check_size(mask.bit_count())
-            return to_frozenset(mask)
+        return to_frozenset(self.node_mask(expr, scope))
 
     def node_mask(self, expr: ast.NodeExpr, scope: int | None = None) -> int:
         """The satisfying set as a raw bitmask (bitset-backend extra)."""
         faults.check("xpath.bitset")
         with obs.span("xpath.nodes", budget=self.budget, backend=self.backend):
-            return self._node_mask(expr, self.index.scope(scope))
+            mask = self._node_mask(expr, self.index.scope(scope))
+            if self.budget is not None:
+                self.budget.check_size(mask.bit_count())
+            return mask
 
     def image(
         self, expr: ast.PathExpr, sources: Iterable[int], scope: int | None = None
     ) -> set[int]:
-        faults.check("xpath.bitset")
-        with obs.span("xpath.image", budget=self.budget, backend=self.backend):
-            sc = self.index.scope(scope)
-            plan = compile_path_plan(self.index, expr)
-            mask = plan(self, from_ids(sources) & sc.mask, sc)
-            if self.budget is not None:
-                self.budget.check_size(mask.bit_count())
-            return to_set(mask)
+        return to_set(self.image_mask(expr, from_ids(sources), scope))
 
     def image_mask(self, expr: ast.PathExpr, sources: int, scope: int | None = None) -> int:
         """Mask-in, mask-out image (bitset-backend extra)."""
         faults.check("xpath.bitset")
         with obs.span("xpath.image", budget=self.budget, backend=self.backend):
             sc = self.index.scope(scope)
-            return compile_path_plan(self.index, expr)(self, sources & sc.mask, sc)
+            mask = compile_path_plan(self.index, expr)(self, sources & sc.mask, sc)
+            if self.budget is not None:
+                self.budget.check_size(mask.bit_count())
+            return mask
 
     def pairs(self, expr: ast.PathExpr, scope: int | None = None) -> set[tuple[int, int]]:
         faults.check("xpath.bitset")

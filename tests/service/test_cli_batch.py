@@ -1,5 +1,6 @@
 """``repro batch``: JSONL framing, ordering, exit-code contract, chaos flag,
-and a restart from ``--wal`` over a store that evicted trees."""
+and a restart from ``--wal`` over a store that evicted trees; ``repro
+recover`` on a missing directory."""
 
 import io
 import json
@@ -146,6 +147,22 @@ class TestBatchWalWithStore:
         assert main(["batch", requests, *durable]) == 0
         lines, _ = _output_lines(capsys)
         assert [line["status"] for line in lines] == ["ok"] * 4
+
+
+class TestRecoverCommand:
+    def test_missing_directory_is_an_io_error_and_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "no-such-wal"
+        assert main(["recover", str(missing)]) == 3
+        captured = capsys.readouterr()
+        assert "recovered" not in captured.out
+        assert "no WAL directory" in captured.err
+        assert not missing.exists()
+
+    def test_existing_empty_directory_recovers_nothing(self, tmp_path, capsys):
+        assert main(["recover", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("recovered 0 tree(s)")
 
 
 class TestBatchErrorContract:

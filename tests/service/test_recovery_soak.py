@@ -11,9 +11,10 @@ supervised shard pool while the soak:
   retries; a fired append aborts with registry and log untouched, so the
   durable history stays torn-free and gapless;
 * **tears the log tail after shutdown** (simulating a crash mid-append) —
-  :func:`repro.trees.wal.recover` must fold snapshot + intact suffix into
-  a registry *bit-identical* to the live one: same epochs, same trees,
-  same ``index_fingerprint`` as a from-scratch rebuild.
+  :func:`repro.trees.wal.recover` must fold each tree's checkpoint + its
+  intact later records into a registry *bit-identical* to the live one:
+  same epochs, same trees, same ``index_fingerprint`` as a from-scratch
+  rebuild.
 
 Zero lost, zero duplicated, zero torn — and availability restored without
 operator action.

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trees import Tree, chain, random_tree
+from repro.trees import Tree, chain, comb, random_tree
 from repro.trees.axes import Axis, axis_image, axis_pairs, interval_axis_pairs
 from repro.xpath import (
     BitsetEvaluator,
@@ -140,6 +140,65 @@ class TestKernelsAgainstAxisImage:
         assert wrong == []
         table = index_module._PREFIX
         assert all(table[i] == (1 << i) - 1 for i in range(len(table)))
+
+
+def _flat_tree(block: int, tail: int) -> Tree:
+    """A root whose first child holds ``block`` leaves, then ``tail`` more
+    leaves under the root: flat at the root and at the non-root scope 1."""
+    parents = [-1, 0] + [1] * block + [0] * tail
+    return Tree(["ab"[v % 2] for v in range(len(parents))], parents)
+
+
+class TestSparseKernels:
+    """The one-step kernels switch to a node-by-node walk at small
+    frontiers; both regimes must equal the per-node axis semantics."""
+
+    TREES = {
+        "random": lambda: random_tree(600, rng=random.Random(31)),
+        "chain": lambda: chain(300, labels=("a", "b")),
+        "comb": lambda: comb(150),
+        "flat": lambda: _flat_tree(60, 40),
+    }
+    LIMITS = {
+        Axis.CHILD: "sparse_child",
+        Axis.PARENT: "sparse_child",
+        Axis.RIGHT: "sparse_sib",
+        Axis.LEFT: "sparse_sib",
+    }
+
+    @pytest.mark.parametrize("axis", list(LIMITS))
+    @pytest.mark.parametrize("shape", list(TREES))
+    def test_every_regime_matches_axis_image(self, shape, axis):
+        tree = self.TREES[shape]()
+        index = tree_index(tree)
+        limit = getattr(index, self.LIMITS[axis])
+        # Chains and combs have too few shift groups ever to walk.
+        walks = shape == "random" or (
+            shape == "flat" and self.LIMITS[axis] == "sparse_child"
+        )
+        assert (limit > 0) == walks
+        rng = random.Random(f"{shape}/{axis.value}")
+        kernel = index.kernel(axis)
+        # The whole tree, and the largest subtree below the root as a scope.
+        inner = max(range(1, tree.size), key=lambda v: len(tree.subtree_ids(v)))
+        for scope in (None, inner):
+            universe = list(tree.node_ids if scope is None else tree.subtree_ids(scope))
+            for k in sorted({0, 1, limit, limit + 1, len(universe)}):
+                sources = set(rng.sample(universe, min(k, len(universe))))
+                expected = axis_image(tree, sources, axis, scope)
+                got = kernel(from_ids(sources), index.scope(scope))
+                assert to_set(got) == expected, (shape, axis, scope, k)
+
+    def test_sparse_child_fills_no_children_memo(self):
+        # The memo holds one n-bit mask per parent; small frontiers walk
+        # v + 1 and next_sibling instead.
+        tree = _flat_tree(60, 40)
+        index = tree_index(tree)
+        sc = index.scope(None)
+        assert index.child(from_ids([0, 1]), sc) == from_ids(
+            tree.children_ids(0) + tree.children_ids(1)
+        )
+        assert index._children == {}
 
 
 def _descendants_of_a(tree) -> list:
