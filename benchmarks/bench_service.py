@@ -6,12 +6,16 @@ Python engines scale before queue/dispatch overhead dominates; (b) the
 per-request overhead the service layer adds over calling the evaluator
 directly (queue hop, budget construction, breaker acquire, stats); and
 (c) batch throughput with a counted fault burst armed, measuring what the
-retry + breaker machinery costs while it reroutes.
+retry + breaker machinery costs while it reroutes.  S1 repeats one batch,
+so every S1 row builds its services with the private ``_result_cache=False``
+hook: with the default result cache, the rows would time cache hits
+answered at admission instead of the pool, the engines and the faults.
 
 Experiment S2 rides in the same file: a Zipf-skewed batch — a few hot
 (query, tree) pairs dominating a long tail, the distribution a serving tier
-actually sees — run two ways: ``baseline`` (the default service, no result
-reuse) and ``cached`` (the result cache, keyed on canonical query forms).
+actually sees — run two ways: ``baseline`` (every read reaches an engine:
+the hook) and ``cached`` (the default service, whose result cache is keyed
+on canonical query forms and answers repeats inside ``submit()``).
 The cached point's ``extra`` carries the measured hit rate and cache event
 counts into the committed compact JSON; the CI gate
 (``benchmarks/compare_backends.py --cache-only``) re-times the same shape.
@@ -121,7 +125,9 @@ def registry():
 def test_mixed_batch_throughput(benchmark, registry, workers):
     """S1 series proper: fixed mixed batch, growing worker pool."""
     benchmark.group = f"S1 batch of {BATCH}"
-    with QueryService(registry, workers=workers, queue_limit=BATCH) as service:
+    with QueryService(
+        registry, workers=workers, queue_limit=BATCH, _result_cache=False
+    ) as service:
         results = benchmark(lambda: service.run_batch(_batch()))
     assert all(r.status == "ok" for r in results)
 
@@ -130,18 +136,19 @@ def test_mixed_batch_throughput(benchmark, registry, workers):
 def test_zipf_cache_sweep(benchmark, registry, mode):
     """S2: the Zipf-skewed batch, cached vs uncached.
 
-    ``baseline`` recomputes every result; ``cached`` turns on the result
-    cache.  The cache persists across benchmark rounds (by design — it
+    ``baseline`` recomputes every result; ``cached`` is the default
+    service.  The cache persists across benchmark rounds (by design — it
     measures the steady state a serving tier reaches), so the cached arm's
-    hit rate approaches 1.0 and its p50 is the price of a batch of cache
-    lookups.  The recorded ``extra`` carries the hit rate and event counts.
+    hit rate approaches 1.0 and its p50 is the price of a batch of hits
+    answered at admission.  The recorded ``extra`` carries the hit rate and
+    event counts.
     """
     benchmark.group = f"S2 zipf batch of {ZIPF_BATCH}"
     with QueryService(
         registry,
         workers=4,
         queue_limit=ZIPF_BATCH,
-        result_cache=mode == "cached",
+        _result_cache=mode == "cached",
     ) as service:
         results = benchmark(lambda: service.run_batch(zipf_batch()))
         snap = service.stats_snapshot()
@@ -166,7 +173,11 @@ def test_sharded_batch_scaling(benchmark, registry, shards):
     """
     benchmark.group = f"S1 shard scaling, batch of {BATCH}"
     with ShardedQueryService(
-        registry, shards=shards, workers_per_shard=1, queue_limit=BATCH
+        registry,
+        shards=shards,
+        workers_per_shard=1,
+        queue_limit=BATCH,
+        _result_cache=False,
     ) as service:
         results = benchmark(lambda: service.run_batch(_sharded_batch()))
     assert all(r.status == "ok" for r in results)
@@ -176,7 +187,7 @@ def test_service_overhead_vs_direct_call(benchmark, registry):
     """Single-request round trip through the full service machinery."""
     benchmark.group = "S1 overhead"
     request = QueryRequest(op="eval", query="<descendant[a]>", tree="bushy")
-    with QueryService(registry, workers=1) as service:
+    with QueryService(registry, workers=1, _result_cache=False) as service:
         result = benchmark(lambda: service.run_batch([request])[0])
     assert result.status == "ok"
 
@@ -201,6 +212,7 @@ def test_batch_throughput_under_fault_burst(benchmark, registry):
         retry=RetryPolicy(max_attempts=2, base_delay=0.0001, max_delay=0.001),
         breaker_threshold=4,
         breaker_cooldown=0.01,
+        _result_cache=False,
     )
 
     def run():

@@ -44,7 +44,9 @@ non-zero if a bitset engine falls below its regression gate:
   ``TreeStore.load`` row is printed for scale but not gated (its cost is
   the budget trade-off itself, priced in BENCH_store.json);
 * result-cache rows (PR 7): a Zipf-skewed batch through the service
-  twice, result cache off vs on, gated on
+  twice — every read reaching an engine (the private ``_result_cache=False``
+  hook) vs the default service, whose cache answers repeats at admission —
+  gated on
   ``--min-hit-rate`` (default 0.30; the skew guarantees repeats, so a
   lower rate means the canonical keying broke) and ``--min-cache-win``
   percent p50 improvement (default 10%).  The win gate is *skew-guarded*:
@@ -123,9 +125,11 @@ def _zipf_requests(n: int, seed: int = 2008) -> list[QueryRequest]:
 def cache_effectiveness(quick: bool, reps: int) -> tuple[tuple, float]:
     """Time the Zipf batch uncached vs cached; a row plus the hit rate.
 
-    Only the result cache differs between the arms, so the ratio isolates
-    what cross-request reuse buys.  The cached service persists across
-    repetitions — steady state is what the gate prices.
+    Only the result cache differs between the arms (the uncached one is
+    built with the private hook, the cached one is the default service),
+    so the ratio isolates what cross-request reuse buys.  The cached
+    service persists across repetitions — steady state is what the gate
+    prices.
     """
     size = 256 if quick else 512
     batch = 48 if quick else 96
@@ -134,10 +138,8 @@ def cache_effectiveness(quick: bool, reps: int) -> tuple[tuple, float]:
     registry.register("chain", chain(size, labels=("a", "b")))
     requests = _zipf_requests(batch)
     with QueryService(
-        registry, workers=4, queue_limit=batch
-    ) as uncached, QueryService(
-        registry, workers=4, queue_limit=batch, result_cache=True
-    ) as cached:
+        registry, workers=4, queue_limit=batch, _result_cache=False
+    ) as uncached, QueryService(registry, workers=4, queue_limit=batch) as cached:
         plain_t, cached_t, ratio = paired_seconds(
             lambda: uncached.run_batch(requests),
             lambda: cached.run_batch(requests),
@@ -239,8 +241,11 @@ def store_section(args, reps: int) -> list[str]:
     Both arms run the same Zipf batch through identical services; only the
     registry differs — plain in-memory vs store-backed with an ample
     resident budget, every tree faulted in up front.  The ratio therefore
-    isolates what the LRU bookkeeping costs on the hot path.  The cold-load
-    row re-reads one tree from disk per repetition purely for scale.
+    isolates what the LRU bookkeeping costs on the hot path.  Both services
+    are built with the private ``_result_cache=False`` hook: a cache hit
+    never pins a tree, so a cached arm would time no store lookup at all.
+    The cold-load row re-reads one tree from disk per repetition purely for
+    scale.
     """
     import tempfile
     from pathlib import Path
@@ -266,9 +271,9 @@ def store_section(args, reps: int) -> list[str]:
         backed.get(name)  # fault in: the gated arm serves warm hits only
     requests = _zipf_requests(batch)
     with QueryService(
-        plain, workers=4, queue_limit=batch
+        plain, workers=4, queue_limit=batch, _result_cache=False
     ) as base_svc, QueryService(
-        backed, workers=4, queue_limit=batch
+        backed, workers=4, queue_limit=batch, _result_cache=False
     ) as store_svc:
         plain_t, store_t, ratio = paired_seconds(
             lambda: base_svc.run_batch(requests),

@@ -24,12 +24,13 @@ Commands:
   repeatable ``--tree NAME=FILE.xml`` registrations or inline ``"xml"``
   request fields; ``--workers`` / ``--queue-limit`` / ``--retries`` /
   ``--breaker-threshold`` / ``--breaker-cooldown`` shape the pool,
-  ``--result-cache`` reuses finished answers across requests, and
-  ``--stats`` prints the aggregate counters to stderr as JSON.  Registered
-  trees are *live*: a ``{"op": "mutate", "tree": NAME, "edit": {...}}``
-  request applies a subtree insert/delete/relabel and publishes a new
-  epoch — later reads in the batch see the edited document (an optional
-  ``"min_epoch"`` field on reads asserts freshness).  ``--wal DIR`` makes
+  finished answers are reused across requests from the second sighting
+  of a request's text on, and ``--stats`` prints the aggregate counters
+  to stderr as JSON.  Registered trees are *live*: a
+  ``{"op": "mutate", "tree": NAME, "edit": {...}}`` request applies a
+  subtree insert/delete/relabel and publishes a new epoch — later reads
+  in the batch see the edited document (an optional ``"min_epoch"``
+  field on reads asserts freshness).  ``--wal DIR`` makes
   those mutations *durable*: every registration and edit is appended to a
   write-ahead log before it is published, and a previous run's state is
   replayed from DIR before ``--tree`` registrations apply.  With
@@ -350,7 +351,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             default_timeout=args.timeout,
             default_max_steps=args.max_steps,
             default_max_nodes=args.max_nodes,
-            result_cache=args.result_cache,
             max_restarts=args.max_restarts,
         )
     else:
@@ -364,7 +364,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             default_timeout=args.timeout,
             default_max_steps=args.max_steps,
             default_max_nodes=args.max_nodes,
-            result_cache=args.result_cache,
         )
     entries = []  # per input line: ("done", json-dict) | ("pending", handle)
     try:
@@ -723,16 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="open time before a half-open recovery probe (default 0.25)",
     )
     p.add_argument(
-        "--result-cache",
-        action="store_true",
-        help="cache finished answers across requests, keyed on canonical "
-        "query forms, so rewriting-equivalent variants share one entry",
-    )
-    p.add_argument(
         "--stats",
         action="store_true",
         help="print aggregate service counters to stderr as JSON "
-        "(with a result_cache section under --result-cache)",
+        "(with a result_cache section)",
     )
     p.add_argument(
         "--metrics",

@@ -18,10 +18,10 @@ The pieces, each in its own module:
   backoff with full jitter for transient engine faults;
 * :class:`CircuitBreaker` (:mod:`~repro.service.breaker`) — per-backend
   closed/open/half-open routing to the oracle engines;
-* :class:`ResultCache` (:mod:`~repro.service.cache`) — the opt-in
-  cross-request result cache (LRU + per-tree epochs + single-flight),
-  keyed on canonical query forms
-  (:func:`repro.xpath.optimizer.canonical_key`);
+* :class:`ResultCache` (:mod:`~repro.service.cache`) — every service's
+  cross-request result cache (second-sighting admission, hits answered
+  inside ``submit()``, LRU + per-tree epochs + single-flight), keyed on
+  canonical query forms (:func:`repro.xpath.optimizer.canonical_key`);
 * :class:`ServiceStats` (:mod:`~repro.service.stats`) — aggregate
   telemetry;
 * :class:`QueryService` (:mod:`~repro.service.workers`) — the worker

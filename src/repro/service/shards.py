@@ -3,11 +3,13 @@
 :class:`ShardedQueryService` *is* a
 :class:`~repro.service.workers.QueryService`: admission, deadlines,
 retries, circuit breakers, degrade-to-oracle, the result cache, mutations
-and stats run once, in the parent, exactly as in the threaded tier.  Only
-the runner differs.  Where the threaded tier runs a prepared plan on the
-worker's own thread, a sharded read is a round trip to the **shard
-process** that owns its document, so the bitset engines' single-core wins
-compound across cores instead of serializing on the GIL.
+and stats run once, in the parent, exactly as in the threaded tier — a
+repeated read whose answer the parent's cache holds resolves inside
+``submit()`` and never reaches a shard.  Only the runner differs.  Where
+the threaded tier runs a prepared plan on the worker's own thread, a
+sharded read is a round trip to the **shard process** that owns its
+document, so the bitset engines' single-core wins compound across cores
+instead of serializing on the GIL.
 
 How the pieces fit:
 
@@ -53,7 +55,8 @@ How the pieces fit:
   result cache's ``begin``, so the cache's epoch check covers a racing
   edit); a shard whose resident copy is older drops it and reloads the
   file, so no shard ever answers from a generation older than the one
-  published when the read was sent.
+  published when the read was sent.  The cache stamps the answer with
+  that send-time epoch.
 * **One ledger** — the core's :class:`~repro.service.stats.ServiceStats`
   counts every request once.  Shards run no service, so they record no
   ``service_*`` series; their engine, store and epoch-lag metrics come back
@@ -591,9 +594,10 @@ class ShardedQueryService(QueryService):
         The remaining timeout is refreshed (time already spent counts), the
         service's default step and node caps fill the request's gaps, and
         named-tree reads are stamped with the registry's *current* epoch as
-        ``min_epoch`` — the freshness floor the shard must meet.  The store
-        already holds that generation (packed before publish), so a shard
-        whose copy is older refreshes it instead of answering stale.
+        ``min_epoch`` — the freshness floor the shard must meet, and the
+        epoch the result cache stamps the answer with.  The store already
+        holds that generation (packed before publish), so a shard whose
+        copy is older refreshes it instead of answering stale.
         """
         request = job.request
         payload = dict(vars(request))
@@ -605,7 +609,7 @@ class ShardedQueryService(QueryService):
         if job.deadline is not None:
             payload["timeout"] = max(0.0, job.deadline - self._clock())
         if request.op != "equivalent" and request.tree is not None and request.xml is None:
-            payload["min_epoch"] = max(
+            payload["min_epoch"] = job.epoch = max(
                 request.min_epoch or 0, self.registry.epoch(request.tree)
             )
         return payload

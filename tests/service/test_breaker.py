@@ -138,6 +138,7 @@ def service():
         retry=RetryPolicy(max_attempts=1),  # isolate the breaker from retries
         breaker_threshold=3,
         breaker_cooldown=0.05,
+        _result_cache=False,  # every request must reach the faulted engine
     )
     yield svc
     svc.shutdown()

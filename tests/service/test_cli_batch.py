@@ -80,32 +80,27 @@ class TestBatchHappyPath:
 
 
 class TestBatchResultCache:
+    # Each text twice: a text is cached from its second sighting on.
     REQUESTS = [
-        {"id": "a", "op": "eval", "query": "<descendant[b]>", "tree": "doc"},
-        {"id": "b", "op": "eval", "query": "<child/child*[b]>", "tree": "doc"},
+        {"id": "a1", "op": "eval", "query": "<descendant[b]>", "tree": "doc"},
+        {"id": "a2", "op": "eval", "query": "<descendant[b]>", "tree": "doc"},
+        {"id": "b1", "op": "eval", "query": "<child/child*[b]>", "tree": "doc"},
+        {"id": "b2", "op": "eval", "query": "<child/child*[b]>", "tree": "doc"},
     ]
 
-    def _run(self, tmp_path, doc_file, capsys, *flags):
-        requests = _write_requests(tmp_path, [json.dumps(r) for r in self.REQUESTS])
-        # One worker: the second request starts after the first has stored
-        # its answer, so it is a plain hit, not a single-flight follower.
-        argv = ["batch", requests, "--tree", f"doc={doc_file}", "--workers", "1"]
-        assert main(argv + ["--stats", *flags]) == 0
-        lines, err = _output_lines(capsys)
-        return lines, json.loads(err)
-
     def test_rewriting_variant_is_served_from_the_cache(self, tmp_path, doc_file, capsys):
-        lines, stats = self._run(tmp_path, doc_file, capsys, "--result-cache")
-        assert [line["status"] for line in lines] == ["ok", "ok"]
-        assert lines[0]["value"] == lines[1]["value"]
-        assert lines[0]["routed"] == "bitset"
-        assert lines[1]["routed"] == "cache"
+        requests = _write_requests(tmp_path, [json.dumps(r) for r in self.REQUESTS])
+        # One worker: the variant's second sighting starts after "a2" has
+        # stored its answer, so it is a plain hit, not a single-flight
+        # follower.
+        argv = ["batch", requests, "--tree", f"doc={doc_file}", "--workers", "1"]
+        assert main(argv + ["--stats"]) == 0
+        lines, err = _output_lines(capsys)
+        stats = json.loads(err)
+        assert [line["status"] for line in lines] == ["ok"] * 4
+        assert all(line["value"] == lines[0]["value"] for line in lines)
+        assert [line["routed"] for line in lines] == ["bitset", "bitset", "bitset", "cache"]
         assert stats["result_cache"]["events"]["hit"] == 1
-
-    def test_no_result_cache_without_the_flag(self, tmp_path, doc_file, capsys):
-        lines, stats = self._run(tmp_path, doc_file, capsys)
-        assert [line["routed"] for line in lines] == ["bitset", "bitset"]
-        assert "result_cache" not in stats
 
 
 class TestBatchWalWithStore:

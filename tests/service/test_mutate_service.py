@@ -152,8 +152,9 @@ class TestMinEpoch:
 class TestCacheFreshness:
     def test_mutation_invalidates_result_cache(self):
         registry = make_registry()
-        with QueryService(registry, workers=1, result_cache=True) as svc:
-            assert _eval(svc).value == [1]
+        with QueryService(registry, workers=1) as svc:
+            assert _eval(svc).value == [1]  # first sighting: not stored
+            assert _eval(svc).routed == "bitset"  # second: stored
             cached = _eval(svc)
             assert cached.routed == "cache"
             _mutate(svc, {"kind": "relabel", "node": 1, "label": "x"})

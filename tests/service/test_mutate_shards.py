@@ -79,9 +79,10 @@ class TestShardedMutate:
     def test_mutation_invalidates_shard_caches(self):
         registry = make_registry()
         with ShardedQueryService(
-            registry, shards=2, start_method=START_METHOD, result_cache=True
+            registry, shards=2, start_method=START_METHOD
         ) as svc:
-            assert _eval(svc).value == [1]
+            assert _eval(svc).value == [1]  # first sighting: not stored
+            assert _eval(svc).routed == "bitset"  # second: stored
             assert _eval(svc).routed == "cache"
             _mutate(svc, {"kind": "relabel", "node": 1, "label": "z"})
             fresh = _eval(svc)

@@ -47,6 +47,7 @@ def test_cross_process_chaos_soak_zero_lost_requests():
         retry=RetryPolicy(max_attempts=3, base_delay=0.0005, max_delay=0.004),
         breaker_threshold=4,
         breaker_cooldown=0.02,
+        _result_cache=False,  # every request reaches the faulted shards
     )
     results = {}
     try:

@@ -133,7 +133,8 @@ class TestCorrectness:
 
     def test_routing_is_tree_affine(self):
         registry = make_registry()
-        with ShardedQueryService(registry, shards=2) as service:
+        # Every request must reach a shard: a cache hit answers in the parent.
+        with ShardedQueryService(registry, shards=2, _result_cache=False) as service:
             results = service.run_batch(
                 [
                     QueryRequest(op="eval", query="<child[i]>", tree="talk")

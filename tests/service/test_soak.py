@@ -86,6 +86,49 @@ def _ground_truth(registry: TreeRegistry) -> dict:
     return truth
 
 
+def _run_with_chaos(service, total: int) -> dict:
+    """Submit ``total`` workload requests with fault bursts armed mid-run;
+    every result by request id."""
+    handles = {}
+    for i in range(total):
+        if i == total // 3:
+            # Mid-run chaos: a counted burst at every engine boundary the
+            # service exercises, armed through the PR 3 fault registry.
+            faults.arm("xpath.bitset", times=40)
+            faults.arm("logic.bitset", times=25)
+            faults.arm("service.worker", times=15)
+        if i == 2 * total // 3:
+            # A second, smaller aftershock while recovery is under way.
+            faults.arm("xpath.bitset.star", times=5)
+            faults.arm("logic.bitset.tc", times=5)
+        request = _request(i)
+        handles[request.id] = service.submit(request)
+    return {request_id: handle.result(timeout=60.0) for request_id, handle in handles.items()}
+
+
+def _assert_correct(results, truth, total: int) -> None:
+    """Every ok answer equals the oracle's; ok results are the vast majority."""
+    checked = 0
+    for i in range(total):
+        result = results[f"soak-{i}"]
+        if result.status != "ok":
+            continue
+        op, _, text, tree_name = _WORKLOAD[i % len(_WORKLOAD)]
+        if op == "equivalent":
+            assert result.value["equivalent"] is (
+                text == ("W(<descendant[b]>)", "<descendant[b]>")
+            )
+        else:
+            assert result.value == truth[(op, str(text), tree_name)], (
+                f"{result.routed} backend returned a wrong answer for {text!r}"
+            )
+        checked += 1
+    # The burst cannot have killed the workload: the vast majority of a
+    # no-deadline soak must still succeed (errors only from the window
+    # where retries AND the oracle both hit armed sites).
+    assert checked >= total * 0.9
+
+
 @pytest.mark.soak
 def test_chaos_soak_zero_lost_requests():
     registry = TreeRegistry()
@@ -101,25 +144,10 @@ def test_chaos_soak_zero_lost_requests():
         retry=RetryPolicy(max_attempts=3, base_delay=0.0005, max_delay=0.004),
         breaker_threshold=4,
         breaker_cooldown=0.02,
+        _result_cache=False,  # every request reaches the faulted engines
     )
-    results = {}
     try:
-        handles = {}
-        for i in range(total):
-            if i == total // 3:
-                # Mid-run chaos: a counted burst at every engine boundary the
-                # service exercises, armed through the PR 3 fault registry.
-                faults.arm("xpath.bitset", times=40)
-                faults.arm("logic.bitset", times=25)
-                faults.arm("service.worker", times=15)
-            if i == 2 * total // 3:
-                # A second, smaller aftershock while recovery is under way.
-                faults.arm("xpath.bitset.star", times=5)
-                faults.arm("logic.bitset.tc", times=5)
-            request = _request(i)
-            handles[request.id] = service.submit(request)
-        for request_id, handle in handles.items():
-            results[request_id] = handle.result(timeout=60.0)
+        results = _run_with_chaos(service, total)
 
         # -- zero lost, zero duplicated --------------------------------------
         assert set(results) == {f"soak-{i}" for i in range(total)}
@@ -135,25 +163,7 @@ def test_chaos_soak_zero_lost_requests():
                 assert result.error["exit_code"] in range(2, 10)
 
         # -- ok results are *correct*, whatever engine served them -----------
-        checked = 0
-        for i in range(total):
-            result = results[f"soak-{i}"]
-            if result.status != "ok":
-                continue
-            op, _, text, tree_name = _WORKLOAD[i % len(_WORKLOAD)]
-            if op == "equivalent":
-                assert result.value["equivalent"] is (
-                    text == ("W(<descendant[b]>)", "<descendant[b]>")
-                )
-            else:
-                assert result.value == truth[(op, str(text), tree_name)], (
-                    f"{result.routed} backend returned a wrong answer for {text!r}"
-                )
-            checked += 1
-        # The burst cannot have killed the workload: the vast majority of a
-        # no-deadline soak must still succeed (errors only from the window
-        # where retries AND the oracle both hit armed sites).
-        assert checked >= total * 0.9
+        _assert_correct(results, truth, total)
 
         # -- the breaker opened under the burst ------------------------------
         snap = service.stats_snapshot()
@@ -217,4 +227,38 @@ def test_chaos_soak_zero_lost_requests():
                 >= 1
             )
     finally:
+        service.shutdown()
+
+
+@pytest.mark.soak
+def test_chaos_soak_default_service_zero_lost_requests():
+    # The same chaos against the default service, whose result cache
+    # answers most repeats at admission: nothing is lost, every answer
+    # (cached or not) is the oracle's, and the ledger balances.
+    registry = TreeRegistry()
+    registry.register("talk", parse_xml(DOC))
+    registry.register("chain", chain(48, labels=("a", "b")))
+    truth = _ground_truth(registry)
+
+    total = 600
+    service = QueryService(
+        registry,
+        workers=4,
+        queue_limit=48,
+        retry=RetryPolicy(max_attempts=3, base_delay=0.0005, max_delay=0.004),
+        breaker_threshold=4,
+        breaker_cooldown=0.02,
+    )
+    try:
+        results = _run_with_chaos(service, total)
+        assert set(results) == {f"soak-{i}" for i in range(total)}
+        for result in results.values():
+            assert result.status in ("ok", "error", "shed")
+        _assert_correct(results, truth, total)
+        snap = service.stats_snapshot()
+        assert snap["result_cache"]["events"]["hit"] >= 1
+        assert snap["submitted"] == snap["completed"] == total
+        assert snap["ok"] + snap["errors"] + snap["shed"] == total
+    finally:
+        faults.disarm()
         service.shutdown()

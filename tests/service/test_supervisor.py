@@ -165,7 +165,8 @@ def test_in_flight_requests_redispatch_not_crash(registry):
 
 @pytest.mark.soak
 def test_repeated_kills_within_budget(registry):
-    service = make_service(registry, max_restarts=5)
+    # Every round must reach the killed shard: a cache hit never would.
+    service = make_service(registry, max_restarts=5, _result_cache=False)
     try:
         shard = shard_for("doc", 2)
         request = QueryRequest(op="eval", query="<descendant[b]>", tree="doc")
