@@ -139,6 +139,14 @@ def test_recovery_soak_kill_and_wal(tmp_path):
             ), (rid, result.error)
 
         # -- availability restored without operator action -------------------
+        # Reads answered at admission can resolve every result before the
+        # supervisor's respawn of the second victim lands: wait for it.
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and (
+            service.restart_counts[live_shard] < kills
+            or obs.REGISTRY.total("shard_restarts_total") - restarts_before < kills
+        ):
+            time.sleep(0.02)
         assert service.restart_counts[live_shard] == kills == 2
         assert (
             obs.REGISTRY.total("shard_restarts_total") - restarts_before == kills

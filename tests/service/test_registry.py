@@ -263,3 +263,100 @@ def test_superseded_generations_are_freed_without_the_cyclic_gc(gc_disabled):
         )
         registry.mutate("doc", edits[round_ % 3])
     assert [ref() for ref in superseded] == [None] * 20
+
+
+# -- a spliced generation stores only labels, parents and sizes ----------------
+
+
+def test_edits_and_bitset_reads_never_derive_pointer_columns(tmp_path):
+    """Front inserts, deletes and relabels through a WAL-attached registry,
+    past a checkpoint, then bitset reads of every generation: the one-step
+    kernels on small frontiers, the sibling closures and the relation
+    masks all read ``after`` and the parents, so no generation derives its
+    pointer columns.  Every answer matches the oracles on a rebuilt copy,
+    which derives its own."""
+    import random
+
+    from repro.logic import parse_formula
+    from repro.logic.modelcheck import ModelChecker
+    from repro.service import QueryRequest, QueryService
+    from repro.trees import random_tree
+    from repro.trees.mutate import DeleteSubtree
+    from repro.trees.wal import WriteAheadLog
+    from repro.xpath import parse_node, parse_path
+    from repro.xpath.evaluator import Evaluator, select
+
+    wal = WriteAheadLog.open(tmp_path / "wal", fsync="never", snapshot_every=4)
+    registry = TreeRegistry()
+    registry.attach_wal(wal)
+    registry.register("doc", random_tree(120, ("a", "b", "c"), random.Random(26)))
+    generations = [registry.get("doc")]
+    stack = Tree.build(("b", ["a", "c"]))
+    for round_ in range(4):
+        for edit in (
+            InsertSubtree(0, 0, stack),
+            InsertSubtree(0, 1, stack),
+            DeleteSubtree(1),
+            Relabel(1, "abc"[round_ % 3]),
+        ):
+            generations.append(registry.mutate("doc", edit)[0])
+    assert list((tmp_path / "wal" / "checkpoints").iterdir())
+
+    paths = [
+        parse_path(text)
+        for text in (
+            "child/child[a]/right",
+            "child/child/left/parent",
+            "child/right*/child[b]",
+            "child/child/left*",
+        )
+    ]
+    nodes = [parse_node(text) for text in ("<right[b]> and <left[c]>", "<left*[a]>")]
+    pairs = [parse_formula(text) for text in RELATION_ATOMS]
+    for tree in generations:
+        oracle = Tree(list(tree.labels), list(tree.parent))
+        index = tree_index(tree)
+        assert index.sparse_child and index.sparse_sib  # both switches live
+        scope = index.scope(None)
+        for v in range(1, tree.size):
+            bit = 1 << v
+            assert index.child(bit, scope) == _mask(oracle.children_ids(v)), v
+            assert index.parent(bit, scope) == 1 << oracle.parent[v], v
+            assert index.right(bit, scope) == _mask([oracle.next_sibling[v]]), v
+            assert index.left(bit, scope) == _mask([oracle.prev_sibling[v]]), v
+        for path in paths:
+            assert select(tree, path, backend="bitset") == select(oracle, path)
+        for node in nodes:
+            fast = Evaluator(tree, backend="bitset").nodes(node)
+            assert fast == Evaluator(oracle).nodes(node)
+        for formula in pairs:
+            fast = ModelChecker(tree, backend="bitset").pairs(formula, "x", "y")
+            assert fast == ModelChecker(oracle).pairs(formula, "x", "y")
+        assert tree._columns == [None]
+
+    with QueryService(registry, workers=1, _result_cache=False) as svc:
+        results = svc.run_batch(
+            [QueryRequest(op="select", query="child/right/left", tree="doc")]
+            + [QueryRequest(op="eval", query="<left*[a]>", tree="doc")]
+            + [
+                QueryRequest(op="check", formula=text, tree="doc")
+                for text in RELATION_ATOMS
+            ]
+        )
+    assert [result.status for result in results] == ["ok"] * len(results)
+    assert registry.get("doc") is generations[-1]
+    assert generations[-1]._columns == [None]
+    wal.close()
+
+
+#: A pair query per relation the bitset checker reads as per-source masks.
+RELATION_ATOMS = (
+    "child(x,y)",
+    "right(x,y)",
+    "descendant(x,y)",
+    "following_sibling(x,y)",
+)
+
+
+def _mask(ids) -> int:
+    return sum(1 << v for v in ids if v >= 0)
