@@ -90,10 +90,6 @@ def inverse_axis(axis: Axis) -> Axis:
     return _INVERSES[axis]
 
 
-def _in_scope(tree: Tree, node_id: int, scope: int | None) -> bool:
-    return scope is None or tree.is_in_subtree(node_id, scope)
-
-
 def axis_steps(
     tree: Tree, node_id: int, axis: Axis, scope: int | None = None
 ) -> Iterator[int]:
@@ -244,9 +240,3 @@ def interval_axis_pairs(
         for m in range(v + sizes[v], hi):
             pairs.add((m, v))
     return pairs
-
-
-def document_order_pairs(tree: Tree) -> set[tuple[int, int]]:
-    """All strictly document-ordered pairs ``(n, m)`` with ``n < m``."""
-    n = tree.size
-    return {(i, j) for i in range(n) for j in range(i + 1, n)}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.trees import Tree, chain, comb, random_tree
 from repro.trees.axes import Axis, axis_image, axis_pairs, interval_axis_pairs
+from repro.trees.tree import _prev_siblings
 from repro.xpath import (
     BitsetEvaluator,
     Evaluator,
@@ -188,6 +189,23 @@ class TestSparseKernels:
                 expected = axis_image(tree, sources, axis, scope)
                 got = kernel(from_ids(sources), index.scope(scope))
                 assert to_set(got) == expected, (shape, axis, scope, k)
+
+    def test_left_falls_back_past_its_climb_budget(self):
+        # The root's i-th child heads a chain of i nodes, so the climb from
+        # v - 1 to a child's previous sibling is one step per chain level.
+        parents = [-1]
+        for length in range(1, 31):
+            top = len(parents)
+            parents += [0] + list(range(top, top + length - 1))
+        tree = Tree(["a"] * len(parents), parents)
+        index = tree_index(tree)
+        limit = index.sparse_sib
+        sources = set(tree.children_ids(0)[-limit:])
+        S = from_ids(sources)
+        budget = len(index.sib_groups)
+        assert limit and _prev_siblings(tree.parent, S, budget) == -1
+        got = index.left(S, index.scope(None))
+        assert to_set(got) == axis_image(tree, sources, Axis.LEFT, None)
 
     def test_sparse_child_fills_no_children_memo(self):
         # The memo holds one n-bit mask per parent; small frontiers walk
