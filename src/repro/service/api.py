@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import obs
-from ..runtime.errors import exit_code_for
+from ..runtime.errors import InjectedFaultError, StoreCorruptError, exit_code_for
 from ..trees.index import tree_index
 from ..trees.store import index_nbytes
 from ..trees.tree import Tree
@@ -302,10 +302,12 @@ class TreeRegistry:
         was opened) are baselined immediately with full ``register``
         records; a cold one is baselined by its first :meth:`mutate`.
         Either way a ``mutate`` record is never the first mention of its
-        tree in the durable history.
+        tree in the durable history.  ``wal`` checkpoints its rolls' idle
+        trees from :meth:`_published`.
         """
         with self._mutation_lock:
             self._wal = wal
+            wal.checkpoint_source = self._published
             with self._lock:
                 baseline = [
                     (name, self._trees[name], self._epochs[name])
@@ -314,6 +316,23 @@ class TreeRegistry:
                 ]
             for name, tree, epoch in baseline:
                 wal.append_register(name, epoch, tree)
+
+    def _published(self, name: str) -> tuple[Tree, int] | None:
+        """``name``'s published ``(tree, epoch)``, or ``None`` if unknown or
+        unreadable: the WAL's checkpoint source, called under the mutation
+        lock.  A cold tree is read from the store without becoming
+        resident."""
+        with self._lock:
+            tree = self._trees.get(name)
+            if tree is not None:
+                return tree, self._epochs[name]
+        store = self._store
+        if store is None:
+            return None
+        try:
+            return store.load(name)
+        except (KeyError, OSError, StoreCorruptError, InjectedFaultError):
+            return None
 
     # -- disk-backed store ---------------------------------------------------
 

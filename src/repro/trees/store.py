@@ -131,6 +131,15 @@ def index_nbytes(index: TreeIndex) -> int:
     return _HEADER.size + len(_REQUIRED_TAGS) * _ENTRY.size + payload
 
 
+def fsync_directory(directory: Path) -> None:
+    """Make the entries of ``directory`` (a rename, a new file) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def pack_bytes(index: TreeIndex, epoch: int = 0) -> bytes:
     """Serialize ``index`` to one RSTR v2 blob stamped with ``epoch``."""
     sections = build_sections(index)
@@ -318,11 +327,7 @@ class TreeStore:
             except OSError:
                 pass
             raise
-        dir_fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_directory(self.directory)
         return len(blob)
 
     # -- read ----------------------------------------------------------------

@@ -150,6 +150,12 @@ class Tree:
         setattr(self, name, value)
         return value
 
+    def __getstate__(self):
+        # Only the set slots: object's default reads every slot through
+        # getattr, which reaches __getattr__ and derives the unset columns
+        # just to ship them.
+        return None, _set_slots(self)
+
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -336,6 +342,18 @@ class Tree:
         if self.size <= 8:
             return f"Tree({self.to_shape()!r})"
         return f"Tree(<{self.size} nodes, height {self.height}>)"
+
+
+def _set_slots(tree: Tree) -> dict:
+    """The slots set on ``tree``, by name; an unset derived column is left
+    out, not derived (``object.__getattribute__`` skips ``__getattr__``)."""
+    state = {}
+    for name in Tree.__slots__:
+        try:
+            state[name] = object.__getattribute__(tree, name)
+        except AttributeError:
+            pass
+    return state
 
 
 def _derive_columns(parent: tuple[int, ...], sizes: tuple[int, ...]) -> tuple:

@@ -175,6 +175,22 @@ class TestDerivedColumns:
         assert tree.next_sibling is relabelled.next_sibling
         assert tree.depths is relabelled.depths
 
+    def test_pickling_ships_only_what_is_set(self):
+        import pickle
+
+        from repro.trees import random_tree
+
+        tree = random_tree(100)
+        blob = pickle.dumps(tree)
+        copy = pickle.loads(blob)
+        assert copy == tree and copy.subtree_sizes == tree.subtree_sizes
+        assert tree._columns == [None] and copy._columns == [None]
+        assert copy.next_sibling == Tree(list(tree.labels), list(tree.parent)).next_sibling
+        # A column read before pickling travels with the tree.
+        depths = tree.depths
+        assert pickle.loads(pickle.dumps(tree)).depths == depths
+        assert len(blob) < len(pickle.dumps(tree))
+
 
 class TestNavigation:
     def test_parent_child_links(self, mixed_tree):
