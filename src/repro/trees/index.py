@@ -116,16 +116,21 @@ class Scope:
 class TreeIndex:
     """Precomputed bitset indexes and axis kernels for one tree.
 
-    Also owns the compiled-plan caches (filled by
+    Also holds the compiled-plan caches (filled by
     :mod:`repro.xpath.engine.plan`), so plans are shared by every evaluator
-    and every query on the same tree.
+    and every query on the same tree.  A plan reads no tree data, so an
+    edit's spliced index takes over its parent's two plan dicts
+    (:func:`repro.trees.mutate.apply_edit_indexed`) and a document compiles
+    each query once across all its edits; a build from scratch, a load
+    from the store and an unpickled index start with empty ones.
 
     The index keeps the tree's immutable ``labels`` and ``parent`` (as
     ``parents``; ``parent`` is the axis kernel) tuples, never the
     :class:`Tree` itself: the tree holds
     its index, and nothing the index holds — tables, scopes, cached plans —
     refers back to either, so a generation is freed by reference counting
-    as soon as its last holder lets go.
+    as soon as its last holder lets go, even while later generations
+    share its plans.
     """
 
     def __init__(self, tree: Tree):
@@ -220,10 +225,19 @@ class TreeIndex:
         index._finalize(tree)
         return index
 
+    def __getstate__(self) -> dict:
+        # Plans are closures, which do not pickle; the receiver compiles
+        # its own.
+        state = self.__dict__.copy()
+        del state["path_plans"], state["node_plans"]
+        return state
+
     def __setstate__(self, state: dict) -> None:
         # An unpickled index (a tree sent to another process) skips
         # _finalize, and that process's prefix table may be shorter.
         self.__dict__.update(state)
+        self.path_plans = {}
+        self.node_plans = {}
         _grow_prefix(self.n)
 
     def _finalize(self, tree: Tree) -> None:

@@ -5,7 +5,8 @@ Every engine in the repro evaluates against a frozen :class:`Tree` plus its
 without giving that up: an edit produces a **new** tree (copy-on-write — the
 old tree, its index, and every compiled plan cached on it stay valid for
 readers pinned to the old snapshot) whose stored columns and index are
-both **spliced** from the old generation's instead of derived from scratch.
+both **spliced** from the old generation's instead of derived from scratch,
+and whose index shares the old one's compiled plans.
 
 The preorder-interval representation is what makes the splice cheap.  A
 subtree edit touches exactly one contiguous id range ``[pos, pos + k)``:
@@ -222,8 +223,10 @@ def apply_edit_indexed(tree: Tree, edit) -> Tree:
     Returns a new tree whose structural arrays and cached index were both
     assembled from the old ones (see module docstring) rather than derived
     from scratch — bit-exact with ``Tree(labels, parent)`` and
-    ``TreeIndex(tree)``, validated by the property suite.  The old tree
-    and its index are untouched.
+    ``TreeIndex(tree)``, validated by the property suite.  The new index
+    shares the old one's compiled-plan caches, which hold no tree data,
+    so queries compiled on any generation of a document are not compiled
+    again.  The old tree and its index are otherwise untouched.
     """
     old = tree_index(tree)
     if isinstance(edit, Relabel):
@@ -234,6 +237,8 @@ def apply_edit_indexed(tree: Tree, edit) -> Tree:
         new_tree, index = _delete_indexed(tree, old, edit)
     else:
         raise ValueError(f"unknown edit {edit!r}")
+    index.path_plans = old.path_plans
+    index.node_plans = old.node_plans
     new_tree._engine_index = index
     return new_tree
 

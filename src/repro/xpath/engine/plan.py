@@ -1,17 +1,21 @@
 """Query-plan compilation for the bitset backend.
 
-A parsed Regular XPath(W) AST is compiled *once per tree* into a plan: a
-tree of closures mirroring the expression structure.
+A parsed Regular XPath(W) AST is compiled *once per document* into a plan:
+a tree of closures mirroring the expression structure.  A plan reads no
+tree data when it is compiled — kernels, label masks and scopes are all
+reached through the evaluator's index (``ev.index``) when it runs — so an
+edit's new generation takes over its parent's compiled plans
+(:func:`repro.trees.mutate.apply_edit_indexed`).
 
 * a compiled **path** has signature ``plan(ev, mask, scope) -> mask`` — the
   image of the source mask under the path's relation, clipped to the scope;
 * a compiled **node expression** has signature ``plan(ev, scope) -> mask``
   — the set of nodes satisfying it within the scope.
 
-Plans are cached on the per-tree :class:`~repro.xpath.engine.kernels.TreeIndex`
+Plans are cached on the per-tree :class:`~repro.trees.index.TreeIndex`
 keyed *structurally* on the expression (AST nodes are frozen dataclasses),
 so repeated subexpressions — inside one query or across queries on the same
-tree — compile to the *same* closure, and every evaluator on the tree
+document — compile to the *same* closure, and every evaluator on the tree
 shares the compiled plans.  Node-set *results* are memoized per evaluator
 (per ``(expression, scope-root)``), mirroring the sets backend.
 
@@ -231,8 +235,9 @@ def _compile_path(index: TreeIndex, expr: ast.PathExpr) -> PathPlan:
 
 def _compile_node(index: TreeIndex, expr: ast.NodeExpr) -> NodePlan:
     if isinstance(expr, ast.Label):
-        mask = index.label_masks.get(expr.name, 0)
-        return lambda ev, sc: mask & sc.mask
+        # Read at run time: the plan outlives this generation's labels.
+        name = expr.name
+        return lambda ev, sc: ev.index.label_masks.get(name, 0) & sc.mask
 
     if isinstance(expr, ast.TrueNode):
         return lambda ev, sc: sc.mask

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.trees import Tree, chain, comb, random_tree
 from repro.trees.axes import Axis, axis_image, axis_pairs, interval_axis_pairs
+from repro.trees.mutate import Relabel, apply_edit_indexed
 from repro.trees.tree import _prev_siblings
 from repro.xpath import (
     BitsetEvaluator,
@@ -224,15 +225,43 @@ def _descendants_of_a(tree) -> list:
     return to_ids(index.descendant(index.label_masks["a"], index.scope(None)))
 
 
+def _answers(tree) -> tuple:
+    query = parse_node("<child[a]>")
+    return _descendants_of_a(tree), to_ids(BitsetEvaluator(tree).node_mask(query))
+
+
+def _indexed(tree):
+    tree_index(tree)
+    return tree
+
+
+def _queried(tree):
+    _answers(tree)
+    return tree
+
+
+#: Trees as a service ships them: indexed, with compiled plans, and a
+#: generation spliced from a queried tree, which shares its plans before
+#: anyone queries it.
+_SHIPPED = {
+    "fresh": _indexed,
+    "queried": _queried,
+    "spliced": lambda tree: apply_edit_indexed(_queried(tree), Relabel(5, "a")),
+}
+
+
 def test_indexed_tree_pickles_into_a_fresh_process():
     # The interval prefix table is per process: an index unpickled in a
-    # fresh interpreter must grow that process's table before it serves.
+    # fresh interpreter must grow that process's table before it serves
+    # (the first tree sent checks that).  Compiled plans are closures,
+    # which stay behind.
     import multiprocessing
 
-    tree = random_tree(300, "ab", random.Random(1))
-    expected = _descendants_of_a(tree)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        assert pool.apply(_descendants_of_a, (tree,)) == expected
+        for shipped, make in _SHIPPED.items():
+            tree = make(random_tree(300, "ab", random.Random(1)))
+            expected = _answers(Tree(tree.labels, tree.parent))
+            assert pool.apply(_answers, (tree,)) == expected, shipped
 
 
 class TestBackendDispatch:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 
 from repro import obs
 from repro.testing import node_expressions, path_expressions, trees
-from repro.trees import chain, random_tree
+from repro.trees import Tree, chain, random_tree
 from repro.trees.index import tree_index
+from repro.trees.mutate import DeleteSubtree, InsertSubtree, Relabel, apply_edit_indexed
 from repro.xpath import (
     Evaluator,
     canonical_key,
@@ -119,3 +120,42 @@ class TestPlanCompileCount:
         canon = canonicalize(raw)
         assert canon != raw
         assert compile_node_plan(index, raw) is compile_node_plan(index, canon)
+
+    def test_edits_reuse_the_documents_plans(self):
+        # A plan reads no tree data, so every generation spliced from a
+        # queried tree answers from the plans compiled on it.  A Label
+        # plan that kept its compile-time mask would still see the d
+        # relabelled away and never see the e relabelled in.
+        base = random_tree(64, "abc", random.Random(11))
+        labels = list(base.labels)
+        labels[7] = "d"
+        tree = Tree(labels, base.parent)
+        queries = [
+            parse_node(text)
+            for text in (
+                "<child[d]>",
+                "<child[e]>",
+                "<descendant[b and <right[c]>]>",
+                "<(child[a] | child[b]/right)*[c]>",
+                "W(<descendant[b]>)",
+                "not <parent[a]>",
+            )
+        ]
+        for query in queries:
+            Evaluator(tree, backend="bitset").nodes(query)
+        compiles = obs.counter("xpath_plan_compile_total")
+        before = compiles.value
+        answers = []
+        for edit in (
+            Relabel(7, "a"),
+            Relabel(9, "e"),
+            InsertSubtree(2, 1, random_tree(6, "abe", random.Random(3))),
+            DeleteSubtree(3),
+        ):
+            tree = apply_edit_indexed(tree, edit)
+            got = [Evaluator(tree, backend="bitset").nodes(q) for q in queries]
+            oracle = [Evaluator(tree, backend="sets").nodes(q) for q in queries]
+            assert got == oracle, edit
+            answers.append(got)
+        assert compiles.value == before, "an edit's generation recompiled a plan"
+        assert answers[0][0] == set() and answers[1][1] == {base.parent[9]}
