@@ -4,9 +4,9 @@ Series: (a) end-to-end ``run_batch`` time for a fixed mixed workload as the
 worker-pool width grows — the shape shows how far the GIL lets the pure-
 Python engines scale before queue/dispatch overhead dominates; (b) the
 per-request overhead the service layer adds over calling the evaluator
-directly (queue hop, budget construction, breaker acquire, stats); and
-(c) batch throughput with a counted fault burst armed, measuring what the
-retry + breaker machinery costs while it reroutes.  S1 repeats one batch,
+directly (queue hop, budget construction, stats); and (c) batch
+throughput with a counted fault burst armed, measuring what the retries
+cost while the burst lasts.  S1 repeats one batch,
 so every S1 row builds its services with the private ``_result_cache=False``
 hook: with the default result cache, the rows would time cache hits
 answered at admission instead of the pool, the engines and the faults.
@@ -33,6 +33,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.runtime import faults
 from repro.service import (
     QueryRequest,
@@ -202,30 +203,36 @@ def test_direct_call_baseline(benchmark, registry):
 
 
 def test_batch_throughput_under_fault_burst(benchmark, registry):
-    """Chaos cost: a counted burst forces retries and breaker trips, but the
-    batch must still complete with every request resolved."""
+    """Chaos cost: a counted burst forces retries, and a read that outlasts
+    them ends in a typed error; the batch must still complete with every
+    request resolved, and the burst's fires pay for every error."""
     benchmark.group = "S1 chaos"
+    retry = RetryPolicy(max_attempts=2, base_delay=0.0001, max_delay=0.001)
     service = QueryService(
         registry,
         workers=4,
         queue_limit=BATCH,
-        retry=RetryPolicy(max_attempts=2, base_delay=0.0001, max_delay=0.001),
-        breaker_threshold=4,
-        breaker_cooldown=0.01,
+        retry=retry,
         _result_cache=False,
     )
 
     def run():
+        before = obs.REGISTRY.total("faults_injected_total")
         faults.arm("xpath.bitset", times=8)
         faults.arm("service.worker", times=4)
         try:
-            return service.run_batch(_batch())
+            results = service.run_batch(_batch())
         finally:
             faults.disarm()
+        return results, obs.REGISTRY.total("faults_injected_total") - before
 
     try:
-        results = benchmark(run)
-        assert all(r.status == "ok" for r in results)
+        results, fired = benchmark(run)
+        errors = [r for r in results if r.status != "ok"]
+        for result in errors:
+            assert result.error["type"] == "InjectedFaultError"
+            assert result.retries == retry.max_attempts - 1
+        assert len(errors) * retry.max_attempts <= fired
         snap = service.stats_snapshot()
         assert snap["submitted"] == snap["completed"]
     finally:

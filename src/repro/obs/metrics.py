@@ -115,7 +115,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A settable level (queue depth, breaker state, ...)."""
+    """A settable level (queue depth, resident bytes, ...)."""
 
     kind = "gauge"
 
@@ -363,7 +363,7 @@ class MetricsRegistry:
         """Restore a snapshot **in place**.
 
         Instruments present in the snapshot keep their object identity
-        (long-lived holders like the guarded-execution stats keep working);
+        (long-lived holders like a service's stats keep working);
         instruments created since are dropped from the registry.
         """
         with self._lock:

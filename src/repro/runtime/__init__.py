@@ -1,7 +1,8 @@
 """repro.runtime — the cross-cutting resource-governance layer.
 
-Production queries must be *boundable*, *cancellable*, and *degradable*.
-This package provides all three, engine-agnostically:
+Production queries must be *boundable* and *cancellable*, and each of their
+failures must be *typed*.  This package provides all three,
+engine-agnostically:
 
 * :class:`ExecutionBudget` (:mod:`repro.runtime.budget`) — one object
   carrying a wall-clock deadline, a cooperative step/fuel counter, and a
@@ -10,14 +11,10 @@ This package provides all three, engine-agnostically:
 * the exception taxonomy (:mod:`repro.runtime.errors`) rooted at
   :class:`ReproError`, with one documented CLI exit code per class;
 * fault injection (:mod:`repro.runtime.faults`) — deterministically fail
-  named kernel boundaries so the failure paths run in CI;
-* guarded execution (:mod:`repro.runtime.guarded`) —
-  :class:`GuardedEvaluator` / :class:`GuardedModelChecker` retry a failed
-  (or, opt-in, budget-tripped) bitset run on the row-wise oracle backend.
+  named kernel boundaries so the failure paths run in CI.
 
-The guarded front doors import the engines, which in turn import this
-package's errors — so they are loaded lazily via module ``__getattr__`` to
-keep ``repro.runtime`` importable from anywhere in the dependency graph.
+The package imports no engine, so ``repro.runtime`` stays importable from
+anywhere in the dependency graph.
 """
 
 from . import faults
@@ -50,9 +47,6 @@ __all__ = [
     "DepthLimitError",
     "EngineFaultError",
     "ExecutionBudget",
-    "FallbackStats",
-    "GuardedEvaluator",
-    "GuardedModelChecker",
     "InjectedFaultError",
     "InputLimitError",
     "QueueFullError",
@@ -67,16 +61,4 @@ __all__ = [
     "WalCorruptError",
     "exit_code_for",
     "faults",
-    "guarded_check",
-    "stats",
 ]
-
-_LAZY = {"GuardedEvaluator", "GuardedModelChecker", "FallbackStats", "guarded_check", "stats"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import guarded
-
-        return getattr(guarded, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

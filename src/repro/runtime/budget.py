@@ -25,8 +25,7 @@ Three independent caps, each optional:
     sets / tables via :meth:`ExecutionBudget.check_size`.
 
 A budget is plain mutable state owned by one logical evaluation; it is not
-thread-safe and not reusable across unrelated calls (construct a fresh one,
-or :meth:`reset_steps` deliberately when degrading to a fallback backend).
+thread-safe and not reusable across unrelated calls (construct a fresh one).
 ``budget=None`` everywhere means "ungoverned" and costs one ``is None``
 test per checkpoint.
 """
@@ -139,15 +138,6 @@ class ExecutionBudget:
         if self.max_steps is None:
             return None
         return max(0, self.max_steps - self.steps)
-
-    def reset_steps(self) -> None:
-        """Refund the step fuel, keeping the wall-clock deadline.
-
-        Used by the guarded degradation path: a fuel cap is a per-attempt
-        heuristic, so the oracle retry starts with full fuel — but the
-        deadline is global to the logical call and is *not* extended.
-        """
-        self.steps = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = [f"steps={self.steps}"]

@@ -3,7 +3,7 @@
 Every failure mode the system can surface — malformed input, resource
 exhaustion, and engine faults — is rooted at :class:`ReproError`, so callers
 can catch the whole family with one clause while still distinguishing the
-classes that need different handling (retry, degrade, report).  The tree::
+classes that need different handling (retry, report).  The tree::
 
     ReproError
     ├── ReproSyntaxError (also ValueError)     malformed query/formula/XML text
@@ -109,9 +109,7 @@ class BudgetExceededError(ReproError):
     """An :class:`~repro.runtime.budget.ExecutionBudget` cap was hit.
 
     Covers the step/fuel counter and the node-set cardinality cap; the
-    wall-clock deadline has its own subclass because callers treat it
-    differently (a tripped deadline is never worth retrying on a slower
-    backend, a tripped fuel cap may be).
+    wall-clock deadline has its own subclass, with its own exit code.
     """
 
 

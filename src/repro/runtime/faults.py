@@ -1,11 +1,11 @@
 """Deterministic fault injection at engine kernel boundaries.
 
-The guarded degradation path (:mod:`repro.runtime.guarded`) only earns its
-keep if the failure branches actually run — in CI, not just in production
-incidents.  This module lets tests (and operators) *arm* named fault sites;
-an armed site makes the engine that checks it raise
+The service's retries and typed engine errors only earn their keep if the
+failure branches actually run — in CI, not just in production incidents.
+This module lets tests (and operators) *arm* named fault sites; an armed
+site makes the engine that checks it raise
 :class:`~repro.runtime.errors.InjectedFaultError` at a well-defined kernel
-boundary, which exercises the exact code path a real engine bug would take.
+boundary, which exercises the retry path a transient engine fault takes.
 
 Fault sites currently wired into the code (rendered from :data:`SITES`):
 
@@ -62,8 +62,8 @@ _WHERE = {
     "logic.bitset.tc": "inside every ``[TC]`` sweep: the semi-naive closure "
     "of a ``[TC]`` table and the frontier sweep of a semi-join",
     "automata.bitset": "entry of the bit-parallel configuration sweep",
-    "service.worker": "start of each fast-path engine run: in the service "
-    "worker's thread, or inside the owning shard for a sharded read",
+    "service.worker": "start of every engine run: in the service worker's "
+    "thread, or inside the owning shard for a sharded read",
     "trees.mutate": "inside :meth:`TreeRegistry.mutate`, before the edit is "
     "applied (the pre-publish atomicity boundary)",
     "wal.append": "inside :meth:`WriteAheadLog._append`, before the record "

@@ -3,10 +3,11 @@
 Everything below :mod:`repro.service` exists to turn the single-call
 engines (XPath evaluation, FO(MTC) model checking, equivalence decision)
 into a *workload* surface: many requests, shared documents, bounded
-resources, and structured outcomes even when individual runs fail.  This
-is the serving layer the ROADMAP's "heavy traffic" north star calls for,
-built on the PR 3 governance primitives (budgets, the error taxonomy,
-guarded degradation, fault injection).
+resources, and structured outcomes even when individual runs fail.  A run
+that fails ends in a typed error with its exit code, after retries when
+the fault is transient.  The subsystem is built on the governance
+primitives of :mod:`repro.runtime` (budgets, the error taxonomy, fault
+injection).
 
 The pieces, each in its own module:
 
@@ -16,8 +17,6 @@ The pieces, each in its own module:
   backpressure and deadline-aware load shedding;
 * :class:`RetryPolicy` (:mod:`~repro.service.retry`) — exponential
   backoff with full jitter for transient engine faults;
-* :class:`CircuitBreaker` (:mod:`~repro.service.breaker`) — per-backend
-  closed/open/half-open routing to the oracle engines;
 * :class:`ResultCache` (:mod:`~repro.service.cache`) — every service's
   cross-request result cache (second-sighting admission, hits answered
   inside ``submit()``, LRU + per-tree epochs + single-flight), keyed on
@@ -57,7 +56,6 @@ out; see :mod:`repro.cli`).
 """
 
 from .api import OPS, QueryRequest, QueryResult, TreePin, TreeRegistry
-from .breaker import CircuitBreaker
 from .cache import ResultCache
 from .queue import BoundedRequestQueue
 from .retry import RetryPolicy
@@ -69,7 +67,6 @@ from .workers import PendingResult, QueryService
 __all__ = [
     "OPS",
     "BoundedRequestQueue",
-    "CircuitBreaker",
     "PendingResult",
     "QueryRequest",
     "QueryResult",

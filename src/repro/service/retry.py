@@ -35,7 +35,7 @@ def is_transient(exc: BaseException) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how patiently to retry a transient fast-path failure.
+    """How often and how patiently to retry a transient engine failure.
 
     ``max_attempts`` counts *total* tries, so ``max_attempts=3`` means one
     initial try plus at most two retries; ``max_attempts=1`` disables

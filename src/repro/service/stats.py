@@ -1,4 +1,4 @@
-"""Aggregate service telemetry: counters, latency percentiles, breaker views.
+"""Aggregate service telemetry: counters and latency percentiles.
 
 One :class:`ServiceStats` instance per service, but the numbers themselves
 live in the process-wide :data:`repro.obs.REGISTRY` as labelled instruments
@@ -12,8 +12,9 @@ recording concurrently never lose increments.
 Counters follow the request lifecycle — every admitted request increments
 ``submitted`` and exactly one of ``ok`` / ``errors`` / ``shed`` (the
 zero-lost invariant is checkable as ``submitted == ok + errors + shed``
-after drain); ``retries`` and ``fallbacks`` count events, not requests, so
-they can exceed ``submitted``.
+after drain); ``retries`` counts events, not requests, so it can exceed
+``submitted``.  The snapshot's ``fallbacks`` is always 0: no second engine
+answers a failed read (the key stays for readers of the ledger).
 
 Latencies are recorded per completed request (sheds too — their latency is
 pure queue wait) into a fixed-bucket histogram and summarized as p50/p90 in
@@ -61,7 +62,6 @@ class ServiceStats:
             "service_results_total", service=svc, status="shed"
         )
         self._retries = reg.counter("service_retries_total", service=svc)
-        self._fallbacks = reg.counter("service_fallbacks_total", service=svc)
         self._latency = reg.histogram("service_latency_seconds", service=svc)
 
     # -- recording ---------------------------------------------------------
@@ -79,8 +79,6 @@ class ServiceStats:
             self._errors.inc()
         if result.retries:
             self._retries.inc(result.retries)
-        if result.fallback:
-            self._fallbacks.inc()
         self._latency.observe(result.latency)
 
     # -- reading -----------------------------------------------------------
@@ -106,28 +104,19 @@ class ServiceStats:
         return self._retries.value
 
     @property
-    def fallbacks(self) -> int:
-        return self._fallbacks.value
-
-    @property
     def completed(self) -> int:
         return self.ok + self.errors + self.shed
 
-    def snapshot(self, breakers: dict | None = None) -> dict:
+    def snapshot(self) -> dict:
         """A JSON-safe view (what ``repro batch --stats`` prints)."""
-        payload = {
+        return {
             "submitted": self.submitted,
             "completed": self.completed,
             "ok": self.ok,
             "errors": self.errors,
             "shed": self.shed,
             "retries": self.retries,
-            "fallbacks": self.fallbacks,
+            "fallbacks": 0,
             "latency_p50": round(self._latency.percentile(0.50), 6),
             "latency_p90": round(self._latency.percentile(0.90), 6),
         }
-        if breakers is not None:
-            payload["breakers"] = {
-                name: breaker.snapshot() for name, breaker in breakers.items()
-            }
-        return payload

@@ -26,25 +26,22 @@
    :class:`~repro.runtime.budget.ExecutionBudget` *from the admission-time
    deadline* (queue wait counts against the request, exactly as a caller
    experiences it) and parses the query text under that envelope.
-3. **Execution** — the per-family circuit breaker
-   (:class:`~repro.service.breaker.CircuitBreaker`; ``xpath`` for
-   eval/select, ``logic`` for check) decides the route.  Closed: the
-   bitset fast path, with transient
-   :class:`~repro.runtime.errors.EngineFaultError`\\ s retried under the
-   full-jitter :class:`~repro.service.retry.RetryPolicy` and, when
-   attempts are exhausted, one final PR 3-style degradation to the
-   row-wise oracle (recorded in the process-wide
-   :data:`repro.runtime.guarded.stats`).  Open: straight to the oracle.
-   Half-open: one probe request tests the fast path and closes or
-   re-opens the breaker.  ``equivalent`` requests run the decision
-   procedures directly (no backend split, no breaker), once per prepared
-   plan: later requests get the memoized verdict.  The engine run
-   itself is the service's *runner* (:meth:`QueryService._run`): here,
-   one run of the prepared plan on the worker's thread; in
+3. **Execution** — eval, select and check run the bitset engines;
+   ``equivalent`` runs the decision procedures, once per prepared plan:
+   later requests get the memoized verdict.  The engine run itself is the
+   service's *runner* (:meth:`QueryService._run`): here, one run of the
+   prepared plan on the worker's thread; in
    :class:`~repro.service.shards.ShardedQueryService`, a round trip to the
-   shard process that owns the document.  Everything above the runner —
-   admission, deadlines, retries, breakers, degradation, the result cache,
-   mutations and stats — is this one pipeline, for both tiers.
+   shard process that owns the document.  One rule covers every read: a
+   transient :class:`~repro.runtime.errors.EngineFaultError`, whether it
+   fired resolving the document or running the engine, is retried under
+   the full-jitter :class:`~repro.service.retry.RetryPolicy` up to
+   ``max_attempts`` in all; whatever outlasts the retries, and any other
+   failure, resolves as a typed error with its exit code.  No second
+   engine stands behind the first: the slow oracles (``sets``, ``table``)
+   check the bitset engines in the tests and serve no request.  Everything above the runner — admission,
+   deadlines, retries, the result cache, mutations and stats — is this one
+   pipeline, for both tiers.
 4. **Resolution** — exactly one :class:`~repro.service.api.QueryResult`
    per admitted request, always: the worker loop catches ``BaseException``
    around request processing, so even a service-layer bug resolves the
@@ -72,31 +69,22 @@ from .. import obs
 from ..runtime import faults
 from ..runtime.budget import ExecutionBudget
 from ..runtime.errors import (
-    BudgetExceededError,
+    EXIT_CODES,
     DeadlineExceededError,
     EngineFaultError,
+    ReproError,
     RequestShedError,
     ServiceClosedError,
     StaleEpochError,
     StoreCorruptError,
 )
 from .api import QueryRequest, QueryResult, TreePin, TreeRegistry, error_payload
-from .breaker import CircuitBreaker
 from .cache import Flight, ResultCache
 from .queue import BoundedRequestQueue
 from .retry import RetryPolicy
 from .stats import ServiceStats
 
 __all__ = ["PendingResult", "QueryService"]
-
-#: Engine family per operation (None = no fast/oracle split, no breaker).
-_FAMILY = {
-    "eval": "xpath",
-    "select": "xpath",
-    "check": "logic",
-    "equivalent": None,
-    "mutate": None,
-}
 
 #: Epoch-lag histogram buckets: how many epochs behind a stamped read found
 #: its tree after any refresh (0 = fresh; >0 only when the stamp runs ahead
@@ -203,31 +191,15 @@ class _Job:
     epoch: int | None = None
 
 
-class Unserved(BaseException):
-    """A runner that reached no engine: the document did not resolve in a
-    shard, or the shard serving it died.
-
-    A ``BaseException`` so the engine-failure handlers of
-    :meth:`QueryService._attempt` and :meth:`QueryService._degrade` let it
-    pass: :meth:`QueryService._process` classifies ``cause`` exactly as it
-    classifies a failure to resolve the document in-thread — retried when
-    transient, an error result otherwise, never a breaker failure.
-    """
-
-    def __init__(self, cause: BaseException):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # -- per-operation runners --------------------------------------------------
 #
 # ``prepare(request)`` parses the request's query text once per process and
 # distinct text (an LRU shared by every service in the process, and by a
 # shard's evaluation loop) and returns a closure
-# ``run(tree, budget, fast) -> JSON-safe value``: ``fast`` runs the bitset
-# engine, otherwise the row-wise oracle (``sets`` / ``table``; ``equivalent``
-# runs the decision procedures either way).  Parse errors surface at prepare
-# time and are charged to the request as input errors.
+# ``run(tree, budget) -> JSON-safe value``: the bitset engine for eval,
+# select and check, the decision procedures for ``equivalent``.  Parse
+# errors surface at prepare time and are charged to the request as input
+# errors.
 # Prepared runners close over parsed ASTs only (no per-request or per-tree
 # state), so they are safe to share across requests and threads; compiled
 # *plans* are cached structurally on the per-tree TreeIndex.  Runners carry
@@ -247,15 +219,13 @@ def _parse_any(text: str):
 
 
 def _prepare_eval(request: QueryRequest):
-    from ..xpath import BitsetEvaluator, SetEvaluator, parse_node
+    from ..xpath import BitsetEvaluator, parse_node
     from ..xpath.engine import to_ids
 
     expr = parse_node(request.query)
 
-    def run(tree, budget, fast):
-        if fast:  # the sorted ids straight from the mask
-            return to_ids(BitsetEvaluator(tree, budget=budget).node_mask(expr))
-        return sorted(SetEvaluator(tree, budget=budget).nodes(expr))
+    def run(tree, budget):  # the sorted ids straight from the mask
+        return to_ids(BitsetEvaluator(tree, budget=budget).node_mask(expr))
 
     run.expr = expr
     run.cache_text = None
@@ -263,15 +233,13 @@ def _prepare_eval(request: QueryRequest):
 
 
 def _prepare_select(request: QueryRequest):
-    from ..xpath import BitsetEvaluator, SetEvaluator, parse_path
+    from ..xpath import BitsetEvaluator, parse_path
     from ..xpath.engine import to_ids
 
     expr = parse_path(request.query)
 
-    def run(tree, budget, fast):
-        if fast:  # sources: the root's bit
-            return to_ids(BitsetEvaluator(tree, budget=budget).image_mask(expr, 1))
-        return sorted(SetEvaluator(tree, budget=budget).image(expr, {0}))
+    def run(tree, budget):  # sources: the root's bit
+        return to_ids(BitsetEvaluator(tree, budget=budget).image_mask(expr, 1))
 
     run.expr = expr
     run.cache_text = None
@@ -288,9 +256,8 @@ def _prepare_check(request: QueryRequest):
     if len(free) > 2:
         raise ValueError(f"expected at most 2 free variables, got {free}")
 
-    def run(tree, budget, fast):
-        backend = "bitset" if fast else "table"
-        checker = ModelChecker(tree, backend=backend, budget=budget)
+    def run(tree, budget):
+        checker = ModelChecker(tree, backend="bitset", budget=budget)
         if not free:
             return checker.holds(formula)
         if len(free) == 1:
@@ -351,7 +318,7 @@ def _prepare_equivalent(request: QueryRequest):
     # racing on the first request both store the same verdict.
     verdict = None
 
-    def run(tree, budget, fast):
+    def run(tree, budget):
         nonlocal verdict
         if verdict is None:
             verdict = decide(budget)
@@ -400,16 +367,15 @@ def prepare(request: QueryRequest):
     return _prepared(_plan_fields(request))
 
 
-def run_plan(plan, tree, budget, fast: bool):
+def run_plan(plan, tree, budget):
     """One engine run of a prepared plan: the in-thread runner, and the
     body of a shard's attempt.
 
-    ``service.worker`` fires here, at the start of a fast-path run, so an
+    ``service.worker`` fires here, at the start of every engine run, so an
     arm reaches the process whose engine runs.
     """
-    if fast:
-        faults.check("service.worker")
-    return plan(tree, budget, fast)
+    faults.check("service.worker")
+    return plan(tree, budget)
 
 
 def resolve_tree(registry: TreeRegistry, request: QueryRequest) -> tuple:
@@ -466,8 +432,6 @@ class QueryService:
         workers: int = 4,
         queue_limit: int = 64,
         retry: RetryPolicy | None = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 0.25,
         default_timeout: float | None = None,
         default_max_steps: int | None = None,
         default_max_nodes: int | None = None,
@@ -497,15 +461,6 @@ class QueryService:
             clock=clock,
             depth_gauge=obs.gauge("service_queue_depth", service=self.stats.service),
         )
-        self._breakers = {
-            family: CircuitBreaker(
-                family,
-                failure_threshold=breaker_threshold,
-                cooldown=breaker_cooldown,
-                clock=clock,
-            )
-            for family in ("xpath", "logic")
-        }
         self._defaults = (default_timeout, default_max_steps, default_max_nodes)
         self._closed = False
         self._lifecycle = threading.Lock()
@@ -695,12 +650,8 @@ class QueryService:
     def __exit__(self, *exc_info) -> None:
         self.shutdown(drain=True)
 
-    @property
-    def breakers(self) -> dict[str, CircuitBreaker]:
-        return dict(self._breakers)
-
     def stats_snapshot(self) -> dict:
-        snapshot = self.stats.snapshot(self._breakers)
+        snapshot = self.stats.snapshot()
         if self.result_cache is not None:
             snapshot["result_cache"] = self.result_cache.snapshot()
         return snapshot
@@ -752,25 +703,23 @@ class QueryService:
             try:
                 tree, pin = self._resolve_tree(request)
                 plan = prepare(request)
-                return self._execute(job, plan, tree, budget, worker, rng, pin, retries)
-            except Unserved as unserved:
-                exc = unserved.cause
-            except (ValueError, TypeError, EngineFaultError, StoreCorruptError) as caught:
-                exc = caught
+                return self._execute(job, plan, tree, budget, worker, pin, retries)
+            except EngineFaultError as exc:
+                # A transient fault — an armed engine, ``service.worker`` or
+                # ``store.load`` site — is retried: a failed load published
+                # nothing, and a failed leader abandoned its cache flight.
+                # A stale epoch is not, because retrying here cannot cure it.
+                if (
+                    isinstance(exc, StaleEpochError)
+                    or retries + 1 >= self.retry.max_attempts
+                ):
+                    return self._error_result(job, exc, worker=worker, retries=retries)
+            except (ValueError, TypeError, StoreCorruptError) as exc:
+                # Input errors and corrupt files: no engine ran.
+                return self._error_result(job, exc, worker=worker, retries=retries)
             finally:
                 if pin is not None:
                     pin.release()
-            # No engine ran.  A transient fault resolving the document — the
-            # ``store.load`` site firing on a cold tree — is retried: the
-            # failed load published nothing (and woke any single-flight
-            # waiters).  Corrupt files, staleness, input errors and a dead
-            # shard are not, because retrying here cannot change them.
-            if (
-                isinstance(exc, StaleEpochError)
-                or not isinstance(exc, EngineFaultError)
-                or retries + 1 >= self.retry.max_attempts
-            ):
-                return self._error_result(job, exc, worker=worker)
             retries += 1
             self._backoff(retries, budget, rng)
 
@@ -790,10 +739,9 @@ class QueryService:
     def _mutate(self, job: _Job, budget, worker: str, rng: random.Random) -> QueryResult:
         """Apply one live-document edit, with transient-fault retries.
 
-        Mutations bypass the breaker/cache machinery — there is no oracle
-        to degrade to and nothing cacheable — but keep the retry policy:
-        an injected (or real) :class:`EngineFaultError` at the
-        ``trees.mutate`` boundary is transient by contract, and the
+        Mutations bypass the result cache — nothing is cacheable — but keep
+        the retry policy: an injected (or real) :class:`EngineFaultError` at
+        the ``trees.mutate`` boundary is transient by contract, and the
         registry's mutation lock guarantees a failed attempt published
         nothing, so re-applying is safe.
         """
@@ -846,50 +794,41 @@ class QueryService:
             )
 
     def _execute(
-        self,
-        job,
-        plan,
-        tree,
-        budget,
-        worker,
-        rng,
-        pin: TreePin | None = None,
-        base_retries: int = 0,
+        self, job, plan, tree, budget, worker, pin: TreePin | None, retries: int
     ) -> QueryResult:
-        """One request through the cache, then the retry state machine.
+        """One attempt at a read, through the result cache.
 
         A request admitted with a cache key collapses with every other
         request for that key at the same tree epoch: a stored value is
         served directly (``routed="cache"``), concurrent identical requests
-        single-flight behind a leader, and a leader that fails abandons the
-        flight so followers evaluate independently (a transient fault never
-        fans out through the cache).  The epoch is the pin's in-thread; on
-        the sharded tier, which pins nothing here, the registry's current
-        one.
+        single-flight behind a leader, and a leader whose attempt fails
+        abandons the flight so followers evaluate independently (a transient
+        fault never fans out through the cache).  The epoch is the pin's
+        in-thread; on the sharded tier, which pins nothing here, the
+        registry's current one.  ``retries`` counts the attempts this read
+        has already spent.
         """
         cache = self.result_cache
         key = job.key
         if cache is None or key is None:
-            return self._attempt(job, plan, tree, budget, worker, rng, base_retries)
+            return self._attempt(job, plan, tree, budget, worker, retries)
         request = job.request
         if pin is not None:
             epoch = job.epoch = pin.epoch
         else:
             epoch = self._tree_epoch(request)
             if epoch is _BELOW_FLOOR:
-                return self._attempt(job, plan, tree, budget, worker, rng, base_retries)
+                return self._attempt(job, plan, tree, budget, worker, retries)
         kind, payload = cache.begin(key, request.tree or "", epoch=epoch)
         if kind == "hit":
             return self._ok_result(
-                job, payload, worker=worker, retries=base_retries, routed="cache"
+                job, payload, worker=worker, retries=retries, routed="cache"
             )
         if kind == "leader":
             flight = payload
             settled = False
             try:
-                result = self._attempt(
-                    job, plan, tree, budget, worker, rng, base_retries
-                )
+                result = self._attempt(job, plan, tree, budget, worker, retries)
                 # Store only if the tree is still at the pinned epoch: a
                 # mutation landing between pin and cache.begin() would
                 # otherwise let this pre-edit value slip in under the
@@ -914,9 +853,9 @@ class QueryService:
             if not Flight.is_miss(value) and flight.stamp == epoch:
                 cache.record_follower_reuse()
                 return self._ok_result(
-                    job, value, worker=worker, retries=base_retries, routed="cache"
+                    job, value, worker=worker, retries=retries, routed="cache"
                 )
-        return self._attempt(job, plan, tree, budget, worker, rng, base_retries)
+        return self._attempt(job, plan, tree, budget, worker, retries)
 
     def _cache_key(self, request: QueryRequest, plan) -> tuple:
         """The result cache key for ``request``: op, tree and query key."""
@@ -928,87 +867,37 @@ class QueryService:
             text = plan.cache_text = canonical_key(plan.expr)
         return (request.op, request.tree or "", text)
 
-    def _attempt(
-        self, job, plan, tree, budget, worker, rng, base_retries: int = 0
-    ) -> QueryResult:
-        """The routing/retry/fallback state machine for one request.
+    def _attempt(self, job, plan, tree, budget, worker, retries: int) -> QueryResult:
+        """One engine run: the answer, or a typed error.
 
-        ``base_retries`` carries retries already spent *resolving* the
-        document (a transient cold-load fault) into the result's count.
+        An :class:`EngineFaultError` propagates, for :meth:`_process` to
+        retry.  Every other failure resolves here and is never retried:
+        budgets, deadlines, input errors and the service's own errors (a
+        dead shard, a corrupt file) with their codes, and an engine bug —
+        any other exception — with the engine code, 8, under its own class
+        name.  No other engine remains to answer it.
         """
-        family = _FAMILY[job.request.op]
-        breaker = self._breakers.get(family) if family else None
-        attempts = 0
-        retries = base_retries
-        while True:
-            attempts += 1
-            route = breaker.acquire() if breaker is not None else "direct"
-            fast = route in ("fast", "probe")
-            try:
-                with obs.span(
-                    "service.attempt", budget=budget, route=route, attempt=attempts
-                ):
-                    value = self._run(job, plan, tree, budget, fast)
-            except Unserved:
-                if route == "probe":
-                    breaker.cancel_probe()  # no engine ran: nothing to report
-                raise
-            except DeadlineExceededError as exc:
-                return self._error_result(job, exc, worker=worker, retries=retries)
-            except BudgetExceededError as exc:
-                return self._error_result(job, exc, worker=worker, retries=retries)
-            except (ValueError, TypeError) as exc:
-                # Input errors are backend-independent; retrying hides them.
-                return self._error_result(job, exc, worker=worker, retries=retries)
-            except Exception as exc:
-                if fast:
-                    breaker.record_failure()
-                    transient = isinstance(exc, EngineFaultError)
-                    if transient and attempts < self.retry.max_attempts:
-                        self._backoff(attempts, budget, rng)
-                        retries += 1
-                        continue
-                    return self._degrade(
-                        job, plan, tree, budget, worker, retries, exc
-                    )
-                # The oracle route itself failed: no slower engine remains.
-                return self._error_result(job, exc, worker=worker, retries=retries)
-            else:
-                if fast:
-                    breaker.record_success()
-                    routed = "bitset"
-                else:
-                    routed = "decision" if family is None else "oracle"
-                return self._ok_result(
-                    job, value, worker=worker, retries=retries, routed=routed
-                )
-
-    def _degrade(self, job, plan, tree, budget, worker, retries, cause) -> QueryResult:
-        """Attempts exhausted on the fast path: one PR 3-style oracle run."""
-        from ..runtime.guarded import stats as fallback_stats
-
-        fallback_stats.record(cause)
-        if budget is not None:
-            budget.reset_steps()
         try:
-            with obs.span(
-                "service.degrade", budget=budget, error=type(cause).__name__
-            ):
-                value = self._run(job, plan, tree, budget, False)
-        except Exception as exc:  # the oracle failed too: structured error
+            with obs.span("service.attempt", budget=budget, attempt=retries + 1):
+                value = self._run(job, plan, tree, budget)
+        except EngineFaultError:
+            raise
+        except (ReproError, OSError, ValueError, TypeError) as exc:
             return self._error_result(job, exc, worker=worker, retries=retries)
-        return self._ok_result(
-            job, value, worker=worker, retries=retries, routed="oracle", fallback=True
-        )
+        except Exception as exc:
+            return self._error_result(
+                job, exc, worker=worker, retries=retries, exit_code=EXIT_CODES["engine"]
+            )
+        routed = "decision" if job.request.op == "equivalent" else "bitset"
+        return self._ok_result(job, value, worker=worker, retries=retries, routed=routed)
 
-    def _run(self, job: _Job, plan, tree, budget, fast: bool):
+    def _run(self, job: _Job, plan, tree, budget):
         """The runner: one engine run of ``plan`` on this thread.
 
         The sharded tier overrides this with a round trip to the shard that
-        owns the document; a runner that reaches no engine raises
-        :class:`Unserved`.
+        owns the document.
         """
-        return run_plan(plan, tree, budget, fast)
+        return run_plan(plan, tree, budget)
 
     # -- result shaping ----------------------------------------------------
 
@@ -1036,13 +925,19 @@ class QueryService:
         )
 
     def _error_result(
-        self, job: _Job, exc: BaseException, *, worker: str, retries: int = 0
+        self,
+        job: _Job,
+        exc: BaseException,
+        *,
+        worker: str,
+        retries: int = 0,
+        exit_code: int | None = None,
     ) -> QueryResult:
         return QueryResult(
             id=job.request.id,
             op=job.request.op,
             status="error",
-            error=error_payload(exc),
+            error=error_payload(exc, exit_code),
             retries=retries,
             routed="none",
             latency=self._clock() - job.submitted_at,
@@ -1057,7 +952,6 @@ class QueryService:
         worker: str,
         retries: int,
         routed: str,
-        fallback: bool = False,
     ) -> QueryResult:
         return QueryResult(
             id=job.request.id,
@@ -1065,7 +959,6 @@ class QueryService:
             status="ok",
             value=value,
             retries=retries,
-            fallback=fallback,
             routed=routed,
             latency=self._clock() - job.submitted_at,
             worker=worker,

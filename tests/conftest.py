@@ -25,16 +25,8 @@ hypothesis_settings.load_profile("repro")
 from repro import obs
 from repro.decision.corpora import standard_corpus
 from repro.runtime import faults
-from repro.runtime import guarded as _guarded  # noqa: F401 -- see below
 from repro.trees import Tree, all_trees, chain, parse_xml
 from repro.xpath.random_exprs import ExprSampler
-
-# ``repro.runtime.guarded`` registers its fallback counter at import time and
-# keeps a module-level reference to it.  Importing it *before* the metrics
-# snapshot below guarantees that instrument is part of every snapshot, so the
-# in-place restore preserves its identity instead of dropping it from the
-# registry (which would silently disconnect the module's counter from
-# ``REGISTRY.total``).
 
 
 @pytest.fixture(autouse=True)
@@ -42,8 +34,8 @@ def _metrics_registry_isolation():
     """Snapshot/restore the process metrics registry around every test.
 
     :data:`repro.obs.REGISTRY` is process-global mutable state, exactly like
-    the fault registry: a test that runs a service (or trips a guarded
-    fallback) would otherwise leak counter increments into every later
+    the fault registry: a test that runs a service (or fires a fault
+    site) would otherwise leak counter increments into every later
     test's reconciliation assertions.  The restore is in place — instruments
     captured by module-level holders keep their object identity.
     """

@@ -173,23 +173,6 @@ class TestErrorPathsAndGovernance:
         assert main(["eval", "a", doc_file, "--inject-fault", "xpath.bitset"]) == 8
         assert main(["eval", "a", doc_file]) == 0  # disarmed on exit
 
-    def test_fallback_rescues_injected_fault(self, doc_file, capsys, recwarn):
-        code = main(
-            ["eval", "<child[i]>", doc_file, "--inject-fault", "xpath.bitset",
-             "--fallback"]
-        )
-        assert code == 0
-        assert "2 node(s)" in capsys.readouterr().out
-        assert any("falling back" in str(w.message) for w in recwarn.list)
-
-    def test_check_fallback_rescues_injected_fault(self, doc_file, capsys, recwarn):
-        code = main(
-            ["check", "exists x. i(x)", doc_file, "--inject-fault", "logic.bitset",
-             "--fallback"]
-        )
-        assert code == 0
-        assert "HOLDS" in capsys.readouterr().out
-
     def test_governed_run_that_fits_succeeds(self, doc_file, capsys):
         code = main(
             ["eval", "<child[i]>", doc_file,

@@ -58,19 +58,6 @@ class TestBudgetUnit:
         with pytest.raises(BudgetExceededError, match="pair relation"):
             budget.check_size(11, "pair relation")
 
-    def test_reset_steps_refunds_fuel_but_not_time(self):
-        clock = FakeClock()
-        budget = ExecutionBudget(timeout=1.0, max_steps=1, clock=clock)
-        budget.tick()
-        with pytest.raises(BudgetExceededError):
-            budget.tick()
-        budget.reset_steps()
-        budget.tick()  # fuel is back
-        budget.reset_steps()
-        clock.now = 2.0
-        with pytest.raises(DeadlineExceededError):
-            budget.tick()  # the deadline is not extended by the refund
-
     def test_inspection_properties(self):
         clock = FakeClock(100.0)
         budget = ExecutionBudget(timeout=2.0, max_steps=5, clock=clock)

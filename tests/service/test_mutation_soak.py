@@ -19,10 +19,12 @@ The acceptance contract (threaded and sharded variants):
   order — computed with :func:`repro.trees.mutate.apply_edit`, never the
   incremental path, so the soak cross-checks delta maintenance end to end;
 * faults burst *mid-mutation*: ``trees.mutate`` (writer retries),
-  ``service.worker`` / ``xpath.bitset`` (reader retries + degradation),
-  and — sharded — shard-side ``store.load`` (a shard's refresh of a
-  mutated tree fails for a moment and must be retried, never served
-  stale).
+  ``service.worker`` / ``xpath.bitset`` (reader retries), and — sharded —
+  shard-side ``store.load`` (a shard's refresh of a mutated tree fails for
+  a moment and must be retried, never served stale);
+* every non-ok result, read or write, is a typed error with its retries
+  spent, and the fired faults (merged from the shards on the sharded
+  tier) pay for all of them: ``errors * max_attempts <= fires``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.runtime import faults
 from repro.service import (
     QueryRequest,
@@ -42,6 +45,8 @@ from repro.service import (
 from repro.trees import parse_xml
 from repro.trees.mutate import apply_edit, edit_from_json
 from repro.xpath import Evaluator, parse_node
+
+from .test_soak import assert_typed_errors
 
 START_METHOD = os.environ.get("REPRO_START_METHOD", "fork")
 
@@ -69,6 +74,7 @@ def _run_soak(make_service, *, sharded: bool) -> None:
     registry = TreeRegistry()
     registry.register("live", parse_xml(DOC))
     total = 240
+    fired_before = obs.REGISTRY.total("faults_injected_total")
     service = make_service(registry)
     edits: dict[str, dict] = {}
     reads: dict[str, str] = {}
@@ -160,6 +166,11 @@ def _run_soak(make_service, *, sharded: bool) -> None:
                 f"in window {list(window_epochs)} (torn or stale read)"
             )
 
+        # -- every error is typed, and the fired faults pay for it ----------
+        metrics = service.merged_registry() if sharded else obs.REGISTRY
+        fired = metrics.total("faults_injected_total") - fired_before
+        assert_typed_errors(results.values(), service.retry.max_attempts, fired)
+
         # The bursts cannot have killed the workload.
         ok_total = sum(1 for r in results.values() if r.status == "ok")
         assert ok_total >= total * 0.9
@@ -186,8 +197,6 @@ def test_mutation_soak_threaded():
             workers=4,
             queue_limit=48,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0005, max_delay=0.004),
-            breaker_threshold=4,
-            breaker_cooldown=0.02,
         ),
         sharded=False,
     )

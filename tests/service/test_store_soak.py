@@ -18,7 +18,10 @@ The acceptance contract (threaded and sharded variants):
   point (pins held by in-flight requests may overshoot transiently, so
   the gauge is sampled whenever the service is quiescent);
 * mid-run ``store.load`` fault bursts surface as retried-or-structured
-  outcomes, never as wrong answers.
+  outcomes, never as wrong answers: every non-ok result is a typed error
+  with its retries spent, and the fired faults (merged from the shards on
+  the sharded tier) pay for all of them, ``errors * max_attempts <=
+  fires``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from repro.service import (
 from repro.trees import TreeStore, index_nbytes, random_tree, tree_index
 from repro.trees.mutate import apply_edit, edit_from_json
 from repro.xpath import Evaluator, parse_node
+
+from .test_soak import assert_typed_errors
 
 START_METHOD = os.environ.get("REPRO_START_METHOD", "fork")
 
@@ -94,6 +99,7 @@ def _build_corpus(tmp_path):
 def _run_soak(tmp_path, make_service, *, sharded: bool, total: int) -> None:
     registry, store, originals, budget = _build_corpus(tmp_path)
     names = sorted(originals)
+    fired_before = obs.REGISTRY.total("faults_injected_total")
     service = make_service(registry)
     edits: dict[str, tuple[str, dict]] = {}
     reads: dict[str, tuple[str, str]] = {}
@@ -204,6 +210,9 @@ def _run_soak(tmp_path, make_service, *, sharded: bool, total: int) -> None:
                 for epoch in window_epochs
             ), f"{rid}: torn or stale read of {name!r}"
 
+        metrics = service.merged_registry() if sharded else obs.REGISTRY
+        fired = metrics.total("faults_injected_total") - fired_before
+        assert_typed_errors(results.values(), service.retry.max_attempts, fired)
         ok_total = sum(1 for r in results.values() if r.status == "ok")
         assert ok_total >= total * 0.9
         assert ok_reads >= 1 and len(edits) >= 1
@@ -223,8 +232,6 @@ def test_store_soak_threaded(tmp_path):
             workers=4,
             queue_limit=48,
             retry=RetryPolicy(max_attempts=3, base_delay=0.0005, max_delay=0.004),
-            breaker_threshold=4,
-            breaker_cooldown=0.02,
         ),
         sharded=False,
         total=500,

@@ -286,18 +286,19 @@ def test_arm_faults_reports_dead_shard_and_respawn_rearms(registry):
         assert outcome == {0: True, 1: True}
 
         # The respawned shard inherited the tracked arm: the fault fires
-        # on its fast path (degrading the answer to the oracle fallback),
-        # proving respawn re-delivers fault injection.
+        # at the start of its engine run, and with one attempt allowed the
+        # read ends in the typed error, proving respawn re-delivers fault
+        # injection.
         request = QueryRequest(op="eval", query="<descendant[b]>", tree="doc")
         result = service.submit(request).result(timeout=60.0)
-        assert result.status == "ok"
-        assert result.fallback is True
+        assert result.status == "error"
+        assert result.error["type"] == "InjectedFaultError"
+        assert result.exit_code == 8
 
         disarm = service.disarm_faults("service.worker")
         assert disarm == {0: True, 1: True}
         result = service.submit(request).result(timeout=60.0)
         assert result.status == "ok"
-        assert result.fallback is False
     finally:
         faults.disarm()
         service.shutdown()
